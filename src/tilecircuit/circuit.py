@@ -21,6 +21,7 @@ Scalars use the shared textual syntax; in symbolic mode the bare token
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from .fields import (
@@ -140,9 +141,9 @@ def _spanning_tree(net: Netlist) -> dict[str, tuple]:
         lst.sort(key=lambda item: (item[0], item[1]))
     root = net.battery.plus
     parent: dict[str, tuple] = {root: ()}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for other, key, a, b in incident[node]:
             if other in parent:
                 continue
@@ -178,16 +179,18 @@ def kirchhoff_system(net: Netlist) -> LinearSystem:
     def blank():
         return [zero] * len(variables)
 
-    # current law: outgoing minus incoming vanishes at every kept node
+    # current law: outgoing minus incoming vanishes at every kept node;
+    # incidences are listed in resistor order, a self-loop twice (+1, -1)
+    incidence: dict[str, list] = {node: [] for node in net.nodes}
+    for idx, r in enumerate(net.resistors):
+        incidence[r.node_a].append((idx, one))
+        incidence[r.node_b].append((idx, -one))
     for node in net.nodes:
         if node == net.battery.minus:
             continue
         coeffs = blank()
-        for r in net.resistors:
-            if r.node_a == node:
-                coeffs[var_index[f"I{r.rid}"]] = coeffs[var_index[f"I{r.rid}"]] + one
-            if r.node_b == node:
-                coeffs[var_index[f"I{r.rid}"]] = coeffs[var_index[f"I{r.rid}"]] - one
+        for idx, sign in incidence[node]:
+            coeffs[idx] = coeffs[idx] + sign
         if net.battery.plus == node:
             coeffs[var_index["I"]] = coeffs[var_index["I"]] - one
         rows.append((coeffs, zero))
@@ -246,9 +249,9 @@ def solve_flow(net: Netlist) -> FlowSolution:
     zero = zero_like(u)
     potential = {net.battery.plus: u}
     parent = _spanning_tree(net)
-    order = sorted(parent, key=lambda n: len(_tree_path(parent, n)))
     resistance = {r.rid: r.value for r in net.resistors}
-    for node in order:
+    # BFS insertion order already runs by depth, so parents come first
+    for node in parent:
         if not parent[node]:
             continue
         (key, a, b), up = parent[node][0], parent[node][1]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .fields import FieldSpec, QuadExt, format_scalar
@@ -442,9 +443,9 @@ def _propagate(count, start, zero, links, what):
     for lo, hi, length in links:
         adjacency.setdefault(lo, []).append((hi, length, 1))
         adjacency.setdefault(hi, []).append((lo, length, -1))
-    queue = [start]
+    queue = deque([start])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         for other, length, sense in adjacency.get(cur, ()):
             candidate = pos[cur] + length if sense > 0 else pos[cur] - length
             if other in pos:
@@ -486,17 +487,43 @@ def validate_geometric(d: Dissection) -> ValidationReport:
         if x < zero or y < zero or x + w > d.big_w or y + h > d.big_h:
             issues.append(f"tile {t.tid} leaves the big rectangle")
         area = area + w * h
-    for i in range(len(tiles)):
-        xi, yi, wi, hi = tiles[i].rect
-        for j in range(i + 1, len(tiles)):
-            xj, yj, wj, hj = tiles[j].rect
-            if xi < xj + wj and xj < xi + wi and yi < yj + hj and yj < yi + hi:
-                issues.append(
-                    f"tiles {tiles[i].tid} and {tiles[j].tid} overlap"
-                )
+    for i, j in _overlapping_pairs([t.rect for t in tiles], zero):
+        issues.append(f"tiles {tiles[i].tid} and {tiles[j].tid} overlap")
     if area != d.big_w * d.big_h:
         issues.append("tile areas do not sum to the big rectangle's area")
     return ValidationReport(not issues, tuple(issues))
+
+
+def _overlapping_pairs(rects, zero) -> list[tuple[int, int]]:
+    """Sorted position pairs i < j of rectangles with overlapping interiors.
+
+    Rectangles of positive size are swept in order of their left edge, and
+    only those whose x-intervals overlap get the y test.  A rectangle with a
+    nonpositive side (already an issue of its own) is tested against every
+    other one, so the pairs are exactly those of the all-pairs test.
+    """
+    boxes = [(x, x + w, y, y + h) for x, y, w, h in rects]
+
+    def overlap(a, b):
+        xa, xa_end, ya, ya_end = boxes[a]
+        xb, xb_end, yb, yb_end = boxes[b]
+        return xa < xb_end and xb < xa_end and ya < yb_end and yb < ya_end
+
+    positive = {k for k, (_, _, w, h) in enumerate(rects) if w > zero and h > zero}
+    swept = sorted(positive, key=lambda k: boxes[k][0])
+    pairs = set()
+    for n, a in enumerate(swept):
+        xa_end = boxes[a][1]
+        for b in swept[n + 1:]:
+            if not boxes[b][0] < xa_end:
+                break
+            if overlap(a, b):
+                pairs.add((min(a, b), max(a, b)))
+    for a in set(range(len(rects))) - positive:
+        for b in range(len(rects)):
+            if b != a and overlap(a, b):
+                pairs.add((min(a, b), max(a, b)))
+    return sorted(pairs)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,28 @@
-"""Exact Gauss-Jordan elimination over any of the scalar fields.
+"""Exact sparse elimination over any of the scalar fields.
 
-The solver never approximates and never reorders anything for magnitude:
-rows are processed in input order, each expressing one of its own unknowns
-(the first in variable order that survives reduction), so outputs are fully
-deterministic.  The outcome explicitly distinguishes the three
-possibilities: a unique assignment, a parametric family (free variables
-plus affine expressions for the bound ones), or inconsistency with the
-offending reduced row.
+The solver never approximates and never pivots for magnitude.  Systems are
+stored sparsely, one ``column -> nonzero`` dict per row beside a
+``column -> rows`` index, and solved in up to two passes:
+
+* a fast pass orders pivots by the Markowitz rule (fewest nonzeros in the
+  row, then fewest active rows in the column) and returns only a unique
+  assignment, which does not depend on the pivot order;
+* anything else -- a leftover row 0 = c with c != 0, or fewer pivots than
+  unknowns -- is decided by a reference pass that starts again from the
+  original rows and processes them in input order, each expressing one of
+  its own unknowns (the first in variable order that it originally holds and
+  that survives reduction).
+
+So every outcome is fully deterministic, and the parametric and
+inconsistent ones are exactly those of plain input-order Gauss-Jordan.  The
+outcome explicitly distinguishes the three possibilities: a unique
+assignment, a parametric family (free variables plus affine expressions
+for the bound ones), or inconsistency with the offending reduced row.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .fields import zero_like
@@ -103,9 +115,13 @@ SolveOutcome = Unique | Parametric | Inconsistent
 
 
 def gauss_jordan(system: LinearSystem) -> SolveOutcome:
-    """Full elimination, equation by equation in input order.
+    """Exact elimination: a Markowitz-ordered fast pass, then input order.
 
-    Each row in turn expresses one of its unknowns -- the first, in variable
+    The fast pass decides only ``Unique`` outcomes: every unknown got a
+    pivot and every leftover row reduced to 0 = 0, so the assignment is the
+    system's one solution whatever the pivot order.  Otherwise the reference
+    pass reruns the documented input-order rule on the original rows: each
+    row in turn expresses one of its unknowns -- the first, in variable
     order, that originally appears in the row and still survives reduction
     -- and that unknown is eliminated from every other row.  Rows that
     reduce to 0 = 0 are dropped; a row reducing to 0 = nonzero makes the
@@ -113,55 +129,138 @@ def gauss_jordan(system: LinearSystem) -> SolveOutcome:
     row ever expressed come back as the free variables of a parametric
     outcome.
     """
+    solution = _markowitz_solve(
+        _sparse_rows(system), [b for _, b in system.rows], len(system.variables)
+    )
+    if solution is not None:
+        return Unique(dict(zip(system.variables, solution)))
+    return _input_order_solve(system)
+
+
+def _sparse_rows(system: LinearSystem) -> list[dict]:
+    """The nonzero coefficients of every row, as column -> value dicts."""
+    return [{j: c for j, c in enumerate(coeffs) if c} for coeffs, _ in system.rows]
+
+
+def _column_index(rows, nvars: int) -> list[set]:
+    """column -> indices of the rows holding a nonzero there."""
+    col_rows = [set() for _ in range(nvars)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    return col_rows
+
+
+def _eliminate(target: dict, k: int, f, pivot_row: dict, pivot: int, col_rows):
+    """target -= f * pivot_row, keeping row k's entries in col_rows current."""
+    del target[pivot]
+    col_rows[pivot].discard(k)
+    for j, v in pivot_row.items():
+        if j == pivot:
+            continue
+        old = target.get(j)
+        if old is None:
+            target[j] = -(f * v)
+            col_rows[j].add(k)
+        else:
+            new = old - f * v
+            if new:
+                target[j] = new
+            else:
+                del target[j]
+                col_rows[j].discard(k)
+
+
+def _markowitz_solve(rows: list[dict], rhs: list, nvars: int) -> list | None:
+    """The unique solution by Markowitz-ordered elimination, else None.
+
+    Forward elimination takes the active row with the fewest nonzeros and,
+    in it, the column with the fewest active rows; ties go to the lowest
+    row index, then the lowest column.  Back-substitution follows.  None
+    means some row reduced to 0 = nonzero or some unknown got no pivot.
+    ``rows`` and ``rhs`` are reduced in place.
+    """
+    col_rows = _column_index(rows, nvars)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * len(rows)
+    pivots = []
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if done[i] or size != len(row):
+            continue  # a stale entry; the row's current size is queued too
+        done[i] = True
+        if not row:
+            if rhs[i]:
+                return None
+            continue
+        for j in row:
+            col_rows[j].discard(i)
+        pivot = min(row, key=lambda j: (len(col_rows[j]), j))
+        p = row[pivot]
+        b = rhs[i]
+        for k in list(col_rows[pivot]):
+            target = rows[k]
+            f = target[pivot] / p
+            _eliminate(target, k, f, row, pivot, col_rows)
+            if b:
+                rhs[k] = rhs[k] - f * b
+            heapq.heappush(heap, (len(target), k))
+        pivots.append((i, pivot))
+    if len(pivots) != nvars:
+        return None
+    x = [None] * nvars
+    for i, pivot in reversed(pivots):
+        row = rows[i]
+        total = rhs[i]
+        for j, v in row.items():
+            if j != pivot:
+                total = total - v * x[j]
+        x[pivot] = total / row[pivot]
+    return x
+
+
+def _input_order_solve(system: LinearSystem) -> SolveOutcome:
+    """The reference pass: input-order Gauss-Jordan on the sparse store."""
     variables = system.variables
     nvars = len(variables)
-    rows = [(list(coeffs), rhs) for coeffs, rhs in system.rows]
+    original = _sparse_rows(system)
+    rows = [dict(row) for row in original]
+    rhs = [b for _, b in system.rows]
+    col_rows = _column_index(rows, nvars)
     pivot_row_of_var: dict[int, int] = {}
 
-    for i in range(len(rows)):
-        coeffs, rhs = rows[i]
-        zero = zero_like(rhs)
-        pivot = None
-        for j in range(nvars):
-            if system.rows[i][0][j] != zero and coeffs[j] != zero:
-                pivot = j
-                break
-        if pivot is None:
-            for j in range(nvars):
-                if coeffs[j] != zero:
-                    pivot = j
-                    break
-        if pivot is None:
-            if rhs != zero:
-                return Inconsistent(i, (tuple(coeffs), rhs))
+    for i, row in enumerate(rows):
+        if not row:
+            if rhs[i]:
+                zero = zero_like(rhs[i])
+                return Inconsistent(i, ((zero,) * nvars, rhs[i]))
             continue  # 0 = 0, drop the row
-        p = coeffs[pivot]
-        coeffs = [c / p for c in coeffs]
-        rhs = rhs / p
-        rows[i] = (coeffs, rhs)
-        for k in range(len(rows)):
+        kept = original[i].keys() & row.keys()
+        pivot = min(kept) if kept else min(row)
+        p = row[pivot]
+        row = {j: c / p for j, c in row.items()}
+        rows[i] = row
+        b = rhs[i] = rhs[i] / p
+        for k in list(col_rows[pivot]):
             if k == i:
                 continue
-            ck, rk = rows[k]
-            f = ck[pivot]
-            if f == zero:
-                continue
-            rows[k] = ([a - f * b for a, b in zip(ck, coeffs)], rk - f * rhs)
+            target = rows[k]
+            f = target[pivot]
+            _eliminate(target, k, f, row, pivot, col_rows)
+            rhs[k] = rhs[k] - f * b
         pivot_row_of_var[pivot] = i
 
+    if len(pivot_row_of_var) == nvars:
+        return Unique({variables[j]: rhs[i] for j, i in pivot_row_of_var.items()})
     free = tuple(variables[j] for j in range(nvars) if j not in pivot_row_of_var)
-    if not free:
-        assignment = {
-            variables[j]: rows[i][1] for j, i in pivot_row_of_var.items()
-        }
-        return Unique(assignment)
-
-    free_idx = [j for j in range(nvars) if j not in pivot_row_of_var]
     bound = {}
     for j, i in pivot_row_of_var.items():
-        coeffs, rhs = rows[i]
-        expr_coeffs = {variables[k]: -coeffs[k] for k in free_idx}
-        bound[variables[j]] = AffineExpr(rhs, expr_coeffs)
+        expr_coeffs = {
+            variables[k]: -c for k, c in sorted(rows[i].items()) if k != j
+        }
+        bound[variables[j]] = AffineExpr(rhs[i], expr_coeffs)
     return Parametric(free, bound)
 
 
@@ -170,16 +269,20 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
 
     Unique assignments are substituted directly; parametric outcomes are
     checked as identities in the free variables; an Inconsistent outcome
-    verifies by re-deriving inconsistency.
+    verifies by re-deriving inconsistency.  Only nonzero coefficients are
+    visited.
     """
     if isinstance(outcome, Inconsistent):
         return isinstance(gauss_jordan(system), Inconsistent)
 
+    variables = system.variables
     if isinstance(outcome, Unique):
+        assignment = outcome.assignment
         for coeffs, rhs in system.rows:
             total = zero_like(rhs)
-            for c, var in zip(coeffs, system.variables):
-                total = total + c * outcome.assignment[var]
+            for j, c in enumerate(coeffs):
+                if c:
+                    total = total + c * assignment[variables[j]]
             if total != rhs:
                 return False
         return True
@@ -187,7 +290,10 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     for coeffs, rhs in system.rows:
         const = zero_like(rhs)
         acc: dict[str, object] = {}
-        for c, var in zip(coeffs, system.variables):
+        for j, c in enumerate(coeffs):
+            if not c:
+                continue
+            var = variables[j]
             if var in outcome.bound:
                 e = outcome.bound[var]
                 const = const + c * e.constant

@@ -82,6 +82,25 @@ def test_equation_count_matches_edge_count_on_random_graphs(rng):
         assert len(system.variables) == len(net.resistors) + 1
 
 
+def test_current_law_rows_match_per_node_scan(rng):
+    # every kept node's row: +1 where a resistor leaves it, -1 where one
+    # enters; a self-loop contributes both and cancels
+    for _ in range(25):
+        net = random_connected_netlist(rng)
+        node = net.nodes[0]
+        loop = Resistor(max(r.rid for r in net.resistors) + 1, node, node, Fraction(2))
+        net = Netlist(list(net.resistors) + [loop], net.battery)
+        system = kirchhoff_system(net)
+        kept = [n for n in net.nodes if n != net.battery.minus]
+        for n, (coeffs, rhs) in zip(kept, system.rows):
+            expected = [
+                (r.node_a == n) - (r.node_b == n) for r in net.resistors
+            ] + [-(n == net.battery.plus)]
+            assert list(coeffs) == expected
+            assert rhs == 0
+        assert gauss_jordan(system).assignment[f"I{loop.rid}"] == 0
+
+
 def test_series_parallel_formulas_match_networks(rng):
     for _ in range(20):
         r1, r2 = random_fraction(rng), random_fraction(rng)

@@ -249,6 +249,31 @@ def test_validate_geometric_catches_overlap():
     assert any("overlap" in issue for issue in report.issues)
 
 
+def test_validate_geometric_overlaps_match_all_pairs():
+    # the sweep must report exactly the pairs, in exactly the order, of the
+    # all-pairs test -- tiles of nonpositive size included
+    rng = random.Random(23)
+    field = FieldSpec.rational()
+    for _ in range(200):
+        rects = [
+            tuple(Fraction(rng.randint(-2, 6), rng.randint(1, 2)) for _ in range(4))
+            for _ in range(rng.randint(1, 9))
+        ]
+        tiles = [
+            Tile(k + 1, (0.0, 0.0, 1.0, 1.0), Fraction(1), rect)
+            for k, rect in enumerate(rects)
+        ]
+        d = Dissection(field, tiles, big_w=Fraction(6), big_h=Fraction(6))
+        expected = [
+            f"tiles {i + 1} and {j + 1} overlap"
+            for i, (xi, yi, wi, hi) in enumerate(rects)
+            for j, (xj, yj, wj, hj) in enumerate(rects)
+            if i < j and xi < xj + wj and xj < xi + wi and yi < yj + hj and yj < yi + hi
+        ]
+        issues = validate_geometric(d).issues
+        assert [issue for issue in issues if "overlap" in issue] == expected
+
+
 def test_validate_geometric_catches_area_shortfall():
     field = FieldSpec.rational()
     one = field.one
