@@ -15,10 +15,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Poly, QuadExt, quad_conjugate, squarefree_check
+from .fields import InputError, Poly, QuadExt, quad_conjugate, squarefree_check
 
 
-class PolyParseError(ValueError):
+class PolyParseError(InputError):
     """Polynomial text does not match the integer-coefficient syntax."""
 
 
@@ -85,10 +85,15 @@ class IntPoly:
 
 
 _POLY_TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:\*?([a-zA-Z])(?:\^(\d+))?)?$")
+_MAX_DEGREE = 64
 
 
 def parse_intpoly(text: str, var: str = "x") -> IntPoly:
-    """Parse text like ``2x^2-6x+3`` into an IntPoly."""
+    """Parse text like ``2x^2-6x+3`` into an IntPoly.
+
+    A term of degree above 64 raises ``PolyParseError``: the exact tests
+    downstream cost far more than the length of the text suggests.
+    """
     s = "".join(text.split())
     if not s:
         raise PolyParseError("empty polynomial")
@@ -101,13 +106,15 @@ def parse_intpoly(text: str, var: str = "x") -> IntPoly:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise PolyParseError(f"malformed term: {piece!r}")
         sign = -1 if m.group(1) == "-" else 1
-        mag = int(m.group(2)) if m.group(2) else 1
-        if m.group(3) is not None:
-            if m.group(3) != var:
-                raise PolyParseError(f"unexpected variable {m.group(3)!r}")
-            power = int(m.group(4)) if m.group(4) else 1
-        else:
-            power = 0
+        if m.group(3) not in (None, var):
+            raise PolyParseError(f"unexpected variable {m.group(3)!r}")
+        try:
+            mag = int(m.group(2) or 1)
+            power = int(m.group(4) or 1) if m.group(3) else 0
+        except ValueError as exc:  # more digits than int() converts
+            raise PolyParseError(f"{exc}: {piece!r}") from None
+        if power > _MAX_DEGREE:
+            raise PolyParseError(f"degree {power} is above the bound {_MAX_DEGREE}")
         coeffs[power] = coeffs.get(power, 0) + sign * mag
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
@@ -174,11 +181,11 @@ def positive_real_part_all_roots(p: IntPoly) -> bool:
     input so that boundary cases cannot hide behind repeated roots.
     """
     if p.is_zero:
-        raise ValueError("zero polynomial")
+        raise InputError("zero polynomial")
     if p.degree < 1:
-        raise ValueError("constant polynomial has no roots")
+        raise InputError("constant polynomial has no roots")
     if not squarefree_check(p.to_poly()):
-        raise ValueError("polynomial must be squarefree")
+        raise InputError("polynomial must be squarefree")
 
     q = [Fraction(c) for c in p.reflected().coeffs]  # leading already positive
     n = len(q) - 1
@@ -224,18 +231,48 @@ class Condition3Verdict:
     caveat_reason: str | None = None
 
 
+_MAX_ROOT_TEST = 10**10
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, from a trial-division factorisation."""
+    divisors = [1]
+    k = 2
+    while k * k <= n:
+        exponent = 0
+        while n % k == 0:
+            n //= k
+            exponent += 1
+        if exponent:
+            divisors = [d * k**e for d in divisors for e in range(exponent + 1)]
+        k += 1
+    if n > 1:
+        divisors += [d * n for d in divisors]
+    return divisors
+
+
 def _has_rational_root(p: IntPoly) -> bool:
+    """Rational-root test over the candidates +-(divisor of the constant
+    term)/(divisor of the leading coefficient).
+
+    Inputs whose |leading * constant| exceeds 10**10 raise ``InputError``,
+    which bounds both the factorisations and the candidate count.
+    """
     lead = abs(p.coeffs[-1])
     const = abs(p.coeffs[0])
     if const == 0:
         return True
+    if lead * const > _MAX_ROOT_TEST:
+        raise InputError(
+            "leading and constant coefficients too large for the rational-root "
+            "test (|product| above 10^10)"
+        )
     poly = p.to_poly()
-    for num in range(1, const + 1):
-        if const % num:
-            continue
-        for den in range(1, lead + 1):
-            if lead % den:
-                continue
+    dens = _divisors(lead)
+    for num in _divisors(const):
+        for den in dens:
+            if math.gcd(num, den) != 1:
+                continue  # the same candidate in lower terms
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if poly.eval(cand) == 0:
                     return True

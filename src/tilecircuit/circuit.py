@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .fields import (
+    InputError,
     RatFunc,
     ScalarParseError,
     format_scalar,
@@ -39,6 +40,10 @@ from .linear import Inconsistent, LinearSystem, Parametric, gauss_jordan
 
 class CircuitError(Exception):
     """A netlist violates the model or cannot carry a well-defined flow."""
+
+
+class _MalformedNetlist(CircuitError, InputError):
+    """A netlist that breaks the model: see the module docstring."""
 
 
 @dataclass(frozen=True)
@@ -81,30 +86,16 @@ class Netlist:
 
     def _check(self):
         if self.battery.plus == self.battery.minus:
-            raise CircuitError("battery terminals must be distinct nodes")
+            raise _MalformedNetlist("battery terminals must be distinct nodes")
         seen = set()
         for r in self.resistors:
             if r.rid in seen:
-                raise CircuitError(f"duplicate resistor id {r.rid}")
+                raise _MalformedNetlist(f"duplicate resistor id {r.rid}")
             seen.add(r.rid)
             if not isinstance(r.value, RatFunc) and not r.value > zero_like(r.value):
-                raise CircuitError(f"resistor {r.rid} has nonpositive resistance")
-        nodes = self.nodes
-        adj = {n: set() for n in nodes}
-        for r in self.resistors:
-            adj[r.node_a].add(r.node_b)
-            adj[r.node_b].add(r.node_a)
-        adj[self.battery.plus].add(self.battery.minus)
-        adj[self.battery.minus].add(self.battery.plus)
-        stack = [nodes[0]]
-        reached = {nodes[0]}
-        while stack:
-            for m in adj[stack.pop()]:
-                if m not in reached:
-                    reached.add(m)
-                    stack.append(m)
-        if len(reached) != len(nodes):
-            raise CircuitError("netlist graph is not connected")
+                raise _MalformedNetlist(f"resistor {r.rid} has nonpositive resistance")
+        if len(_spanning_tree(self)) != len(self.nodes):
+            raise _MalformedNetlist("netlist graph is not connected")
 
     def resistor(self, rid: int) -> Resistor:
         for r in self.resistors:
@@ -375,7 +366,11 @@ def parse_netlist(text: str, symbolic: bool = False) -> Netlist:
     if symbolic:
         parse = parse_symbolic_scalar
     else:
-        radicands = {int(m) for s in scalars for m in re.findall(r"sqrt\((\d+)\)", s)}
+        try:
+            radicands = {int(m) for s in scalars
+                         for m in re.findall(r"sqrt\((\d+)\)", s)}
+        except ValueError as exc:  # more digits than int() converts
+            raise ScalarParseError(str(exc)) from None
         if len(radicands) > 1:
             raise ScalarParseError(
                 f"netlist mixes radicands {sorted(radicands)}; one field per file"
@@ -395,7 +390,13 @@ def parse_netlist(text: str, symbolic: bool = False) -> Netlist:
             value = parse(scalar)
         except ScalarParseError as exc:
             raise ScalarParseError(f"line {lineno}: {exc}") from exc
-        resistors.append(Resistor(int(rid), a, b, value))
+        try:
+            rid = int(rid)
+        except ValueError:
+            raise ScalarParseError(
+                f"line {lineno}: resistor id {rid!r} is not an integer"
+            ) from None
+        resistors.append(Resistor(rid, a, b, value))
     lineno, (plus, minus, scalar) = battery_line
     try:
         voltage = parse(scalar)

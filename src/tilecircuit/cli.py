@@ -3,7 +3,9 @@
 Exit codes separate tooling from mathematics: 0 means the requested check
 or computation succeeded, 1 means a well-posed mathematical failure (an
 invalid tiling, an unsizable system, a FAIL verdict), and 2 means the tool
-could not even get started (usage or parse errors).  Human-readable output
+could not even get started: usage errors, unreadable files, and the
+``InputError`` family (malformed or out-of-range input, which includes
+malformed dissection, ladder and netlist files).  Human-readable output
 goes to stdout and diagnostics to stderr; ``--json`` switches stdout to a
 machine-readable object carrying the same exact scalars.
 """
@@ -14,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .algcheck import lfs_condition3, parse_intpoly, PolyParseError
+from .algcheck import lfs_condition3, parse_intpoly
 from .circuit import CircuitError, parse_netlist, format_netlist
 from .correspondence import (
     CorrespondenceError,
@@ -36,7 +38,7 @@ from .dissection import (
     solve_sizes,
     validate_geometric,
 )
-from .fields import ScalarParseError, format_scalar, one_like, parse_quadext
+from .fields import InputError, format_scalar, one_like, parse_quadext
 
 PASS, MATH_FAIL, USAGE_FAIL = 0, 1, 2
 
@@ -321,10 +323,7 @@ def run(argv=None) -> int:
     out = _Output(args.json)
     try:
         return args.func(args, out)
-    except (ScalarParseError, PolyParseError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_FAIL
-    except OSError as exc:
+    except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_FAIL
     except (DissectionError, CircuitError, CorrespondenceError, LadderError,

@@ -51,6 +51,7 @@ from .dissection import (
 )
 from .fields import (
     FieldSpec,
+    InputError,
     QuadExt,
     RatFunc,
     format_scalar,
@@ -86,18 +87,19 @@ def circuit_of_dissection(d: Dissection, cuts: CutStructure | None = None) -> Ne
     if d.big_w is None:
         d = solve_sizes(d).sized
     cs = cuts if cuts is not None else extract_cuts(d)
+    return _network(d.tiles, cs, lambda t: t.aspect, d.big_w)
+
+
+def _network(tiles, cs: CutStructure, value, voltage) -> Netlist:
+    """Tile k becomes resistor k of resistance value(tile), oriented left to
+    right terminal; the battery spans L (plus) to R with the given voltage."""
     names = _node_names(cs)
     resistors = [
-        Resistor(
-            t.tid,
-            names[cs.tile_ends[t.tid][0]],
-            names[cs.tile_ends[t.tid][1]],
-            t.aspect,
-        )
-        for t in d.tiles
+        Resistor(t.tid, names[cs.tile_ends[t.tid][0]], names[cs.tile_ends[t.tid][1]],
+                 value(t))
+        for t in tiles
     ]
-    battery = Battery("L", "R", d.big_w)
-    return Netlist(resistors, battery)
+    return Netlist(resistors, Battery("L", "R", voltage))
 
 
 @dataclass(frozen=True)
@@ -223,28 +225,17 @@ def theorem1_certificate(d: Dissection, ratio=None) -> IntPoly:
         raise CorrespondenceError("ratio must be positive")
     inv = one_like(r) / r
 
-    cs = sizing.cuts
-    names = _node_names(cs)
-    resistors = []
-    for t in d.tiles:
+    def value(t):
         if t.aspect == inv:
-            value = RatFunc.constant(1)
-        elif t.aspect == r:
-            value = RatFunc.t()
-        else:
-            raise CorrespondenceError(
-                f"tile {t.tid} has aspect {format_scalar(t.aspect)}, "
-                "not the declared ratio or its inverse"
-            )
-        resistors.append(
-            Resistor(
-                t.tid,
-                names[cs.tile_ends[t.tid][0]],
-                names[cs.tile_ends[t.tid][1]],
-                value,
-            )
+            return RatFunc.constant(1)
+        if t.aspect == r:
+            return RatFunc.t()
+        raise CorrespondenceError(
+            f"tile {t.tid} has aspect {format_scalar(t.aspect)}, "
+            "not the declared ratio or its inverse"
         )
-    net = Netlist(resistors, Battery("L", "R", RatFunc.constant(1)))
+
+    net = _network(d.tiles, sizing.cuts, value, RatFunc.constant(1))
     w = symbolic_resistance(net)
 
     candidate = w.den.compose_square().shift_up(1) - w.num.compose_square()
@@ -261,6 +252,8 @@ def theorem1_certificate(d: Dissection, ratio=None) -> IntPoly:
 
 def infer_ratio(d: Dissection):
     """The representative >= 1 of the tile aspect set {R, 1/R}."""
+    if not d.tiles:
+        raise CorrespondenceError("dissection has no tiles")
     aspects = []
     for t in d.tiles:
         if not any(t.aspect == a for a in aspects):
@@ -285,6 +278,10 @@ class LadderError(Exception):
     """A ladder specification is malformed or does not evaluate to 1."""
 
 
+class _MalformedLadder(LadderError, InputError):
+    """A ladder file or specification that breaks the format."""
+
+
 @dataclass(frozen=True)
 class LadderSpec:
     """Target ratio R plus positive rational coefficients c_1..c_n."""
@@ -297,11 +294,11 @@ class LadderSpec:
         coeffs = tuple(Fraction(c) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:
-            raise LadderError("ladder needs at least one coefficient")
+            raise _MalformedLadder("ladder needs at least one coefficient")
         if any(c <= 0 for c in coeffs):
-            raise LadderError("ladder coefficients must be positive rationals")
+            raise _MalformedLadder("ladder coefficients must be positive rationals")
         if not self.ratio > self.field.zero:
-            raise LadderError("ladder ratio must be positive")
+            raise _MalformedLadder("ladder ratio must be positive")
 
 
 def ladder_tails(spec: LadderSpec) -> list:
@@ -413,12 +410,20 @@ def ladder_to_json(spec: LadderSpec) -> dict:
 
 
 def ladder_from_json(obj: dict) -> LadderSpec:
+    """Read the JSON object; anything off the file format raises an error
+    that is both a ``LadderError`` and an ``InputError``."""
+    if not isinstance(obj, dict):
+        raise _MalformedLadder(
+            f"malformed ladder object: a {type(obj).__name__}, not an object"
+        )
     try:
         field = FieldSpec.from_json(obj["field"])
         ratio = field.parse(obj["R"])
         coeffs = tuple(parse_rational(c) for c in obj["c"])
-    except (KeyError, TypeError) as exc:
-        raise LadderError(f"malformed ladder object: {exc}") from exc
+    except InputError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise _MalformedLadder(f"malformed ladder object: {exc}") from exc
     return LadderSpec(field, ratio, coeffs)
 
 

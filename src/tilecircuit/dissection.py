@@ -29,14 +29,18 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .fields import FieldSpec, QuadExt, format_scalar
+from .fields import FieldSpec, InputError, QuadExt, format_scalar
 from .linear import Inconsistent, LinearSystem, Parametric, gauss_jordan
 
 SKETCH_REL_TOL = 1e-6
 
 
 class DissectionError(Exception):
-    """Malformed dissection input."""
+    """A dissection that cannot be read, cut, sized or validated."""
+
+
+class _MalformedDissection(DissectionError, InputError):
+    """A dissection file or object that breaks the format."""
 
 
 class SizingError(DissectionError):
@@ -64,12 +68,14 @@ class Dissection:
         zero = self.field.zero
         for t in self.tiles:
             if t.tid in seen:
-                raise DissectionError(f"duplicate tile id {t.tid}")
+                raise _MalformedDissection(f"duplicate tile id {t.tid}")
             seen.add(t.tid)
             if not (t.sketch[2] > 0 and t.sketch[3] > 0):
-                raise DissectionError(f"tile {t.tid} has a degenerate sketch")
+                raise _MalformedDissection(f"tile {t.tid} has a degenerate sketch")
             if not t.aspect > zero:
-                raise DissectionError(f"tile {t.tid} has a nonpositive aspect ratio")
+                raise _MalformedDissection(
+                    f"tile {t.tid} has a nonpositive aspect ratio"
+                )
 
     def tile(self, tid: int) -> Tile:
         for t in self.tiles:
@@ -146,6 +152,48 @@ def _merge_segments(intervals):
     return [(lo, hi) for lo, hi in merged]
 
 
+def _segments(spans, count: int, extent: int, what: str):
+    """Maximal segments of the tile edges across one axis.
+
+    ``spans`` maps tile id -> (c0, c1, lo, hi): the classes of the tile's
+    two edges along the axis, then its class span across it.  ``count`` is
+    the number of classes along the axis; the two outer boundaries span
+    (0, extent).  Returns the segments as (class, lo, hi, tiles ending on
+    it, tiles starting on it), numbered by class and then by position; the
+    (lo, hi, segment id) triples of each class; and each tile's (start,
+    end) segment ids.
+    """
+    intervals: dict[int, list] = {c: [] for c in range(count)}
+    for c0, c1, lo, hi in spans.values():
+        intervals[c0].append((lo, hi))
+        intervals[c1].append((lo, hi))
+    intervals[0].append((0, extent))
+    intervals[count - 1].append((0, extent))
+
+    segments = []
+    ids: dict[int, list] = {}
+    for c in range(count):
+        ids[c] = []
+        for lo, hi in _merge_segments(intervals[c]):
+            ids[c].append((lo, hi, len(segments)))
+            segments.append((c, lo, hi, [], []))
+
+    def segment_for(c: int, lo: int, hi: int, tid: int) -> int:
+        for slo, shi, sid in ids[c]:
+            if slo <= lo and hi <= shi:
+                return sid
+        raise DissectionError(f"tile {tid} touches no {what} {c}")
+
+    ends = {}
+    for tid, (c0, c1, lo, hi) in spans.items():
+        start = segment_for(c0, lo, hi, tid)
+        end = segment_for(c1, lo, hi, tid)
+        segments[end][3].append(tid)
+        segments[start][4].append(tid)
+        ends[tid] = (start, end)
+    return segments, ids, ends
+
+
 def extract_cuts(d: Dissection) -> CutStructure:
     """Read the cut combinatorics off the sketch.
 
@@ -201,87 +249,31 @@ def extract_cuts(d: Dissection) -> CutStructure:
         if cursor != len(ys) - 1:
             raise DissectionError(f"sketch gap near x={xs[sx]:.6g} (top)")
 
-    # vertical nodes: maximal segments of the union of vertical tile edges
-    v_intervals: dict[int, list] = {c: [] for c in range(len(xs))}
-    for tid, (ix0, ix1, iy0, iy1) in snapped.items():
-        v_intervals[ix0].append((iy0, iy1))
-        v_intervals[ix1].append((iy0, iy1))
-    v_intervals[0].append((0, len(ys) - 1))
-    v_intervals[len(xs) - 1].append((0, len(ys) - 1))
-
-    v_nodes = []
-    segment_ids: dict[int, list] = {}
-    for c in range(len(xs)):
-        if not v_intervals[c]:
-            continue
-        segment_ids[c] = []
-        for lo, hi in _merge_segments(v_intervals[c]):
-            segment_ids[c].append((lo, hi, len(v_nodes)))
-            v_nodes.append([c, lo, hi, [], []])
-
-    def _v_node_for(c: int, lo: int, hi: int, tid: int) -> int:
-        for slo, shi, nid in segment_ids.get(c, ()):
-            if slo <= lo and hi <= shi:
-                return nid
-        raise DissectionError(f"tile {tid} touches no vertical node at x class {c}")
-
-    tile_ends = {}
-    for tid, (ix0, ix1, iy0, iy1) in snapped.items():
-        left = _v_node_for(ix0, iy0, iy1, tid)
-        right = _v_node_for(ix1, iy0, iy1, tid)
-        v_nodes[right][3].append(tid)  # this tile sits to the left of the node
-        v_nodes[left][4].append(tid)   # and to the right of its left node
-        tile_ends[tid] = (left, right)
-
-    # horizontal cuts, the same construction sideways
-    h_intervals: dict[int, list] = {c: [] for c in range(len(ys))}
-    for tid, (ix0, ix1, iy0, iy1) in snapped.items():
-        h_intervals[iy0].append((ix0, ix1))
-        h_intervals[iy1].append((ix0, ix1))
-    h_intervals[0].append((0, len(xs) - 1))
-    h_intervals[len(ys) - 1].append((0, len(xs) - 1))
-
-    h_cuts = []
-    cut_ids: dict[int, list] = {}
-    for c in range(len(ys)):
-        if not h_intervals[c]:
-            continue
-        cut_ids[c] = []
-        for lo, hi in _merge_segments(h_intervals[c]):
-            cut_ids[c].append((lo, hi, len(h_cuts)))
-            h_cuts.append([c, lo, hi, [], []])
-
-    def _h_cut_for(c: int, lo: int, hi: int, tid: int) -> int:
-        for slo, shi, cid in cut_ids.get(c, ()):
-            if slo <= lo and hi <= shi:
-                return cid
-        raise DissectionError(f"tile {tid} touches no horizontal cut at y class {c}")
-
-    tile_spans = {}
-    for tid, (ix0, ix1, iy0, iy1) in snapped.items():
-        bottom = _h_cut_for(iy0, ix0, ix1, tid)
-        top = _h_cut_for(iy1, ix0, ix1, tid)
-        h_cuts[bottom][3].append(tid)  # tile is above its bottom cut
-        h_cuts[top][4].append(tid)     # and below its top cut
-        tile_spans[tid] = (bottom, top)
+    v_nodes, node_ids, tile_ends = _segments(
+        snapped, len(xs), len(ys) - 1, "vertical node at x class"
+    )
+    h_cuts, cut_ids, tile_spans = _segments(
+        {tid: (iy0, iy1, ix0, ix1) for tid, (ix0, ix1, iy0, iy1) in snapped.items()},
+        len(ys), len(xs) - 1, "horizontal cut at y class",
+    )
 
     def _single_segment(ids, what: str) -> int:
         if len(ids) != 1:
             raise DissectionError(f"{what} boundary splits into several segments")
         return ids[0][2]
 
-    left_boundary = _single_segment(segment_ids[0], "left")
-    right_boundary = _single_segment(segment_ids[len(xs) - 1], "right")
+    left_boundary = _single_segment(node_ids[0], "left")
+    right_boundary = _single_segment(node_ids[len(xs) - 1], "right")
     bottom_cut = _single_segment(cut_ids[0], "bottom")
     top_cut = _single_segment(cut_ids[len(ys) - 1], "top")
 
     nodes = tuple(
-        VNode(nid, xs[c], ys[lo], ys[hi], tuple(sorted(lt)), tuple(sorted(rt)))
-        for nid, (c, lo, hi, lt, rt) in enumerate(v_nodes)
+        VNode(nid, xs[c], ys[lo], ys[hi], tuple(sorted(ends)), tuple(sorted(starts)))
+        for nid, (c, lo, hi, ends, starts) in enumerate(v_nodes)
     )
     cuts = tuple(
-        HCut(cid, ys[c], xs[lo], xs[hi], tuple(sorted(ab)), tuple(sorted(be)))
-        for cid, (c, lo, hi, ab, be) in enumerate(h_cuts)
+        HCut(cid, ys[c], xs[lo], xs[hi], tuple(sorted(starts)), tuple(sorted(ends)))
+        for cid, (c, lo, hi, ends, starts) in enumerate(h_cuts)
     )
     return CutStructure(
         nodes, cuts, left_boundary, right_boundary, bottom_cut, top_cut,
@@ -308,47 +300,32 @@ def junction_system(
     aspect = {t.tid: t.aspect for t in tiles}
     order = sorted(aspect)
     variables = tuple(f"v{tid}" for tid in order) + ("x",)
-    index = {v: i for i, v in enumerate(variables)}
-
-    def blank():
-        return [zero] * len(variables)
-
+    column = {tid: k for k, tid in enumerate(order)}
+    unit = dict.fromkeys(order, one)
     rows = []
 
-    left = cs.v_nodes[cs.left_boundary]
-    coeffs = blank()
-    for tid in left.right_tiles:
-        coeffs[index[f"v{tid}"]] = coeffs[index[f"v{tid}"]] + one
-    rows.append((coeffs, vertical_side))
+    def balance(plus, minus, weight, rhs=zero):
+        """Append sum of weight over plus tiles - sum over minus tiles = rhs."""
+        coeffs = [zero] * len(variables)
+        for tid in plus:
+            coeffs[column[tid]] = coeffs[column[tid]] + weight[tid]
+        for tid in minus:
+            coeffs[column[tid]] = coeffs[column[tid]] - weight[tid]
+        rows.append((coeffs, rhs))
+        return coeffs
 
+    balance(cs.v_nodes[cs.left_boundary].right_tiles, (), unit, vertical_side)
     boundary_nodes = {cs.left_boundary, cs.right_boundary}
     for node in cs.v_nodes:
-        if node.nid in boundary_nodes:
-            continue
-        coeffs = blank()
-        for tid in node.left_tiles:
-            coeffs[index[f"v{tid}"]] = coeffs[index[f"v{tid}"]] + one
-        for tid in node.right_tiles:
-            coeffs[index[f"v{tid}"]] = coeffs[index[f"v{tid}"]] - one
-        rows.append((coeffs, zero))
+        if node.nid not in boundary_nodes:
+            balance(node.left_tiles, node.right_tiles, unit)
 
-    top = cs.h_cuts[cs.top_cut]
-    coeffs = blank()
-    coeffs[index["x"]] = one
-    for tid in top.below_tiles:
-        coeffs[index[f"v{tid}"]] = coeffs[index[f"v{tid}"]] - aspect[tid]
-    rows.append((coeffs, zero))
-
+    top = balance((), cs.h_cuts[cs.top_cut].below_tiles, aspect)
+    top[-1] = one  # the x column
     boundary_cuts = {cs.bottom_cut, cs.top_cut}
     for cut in cs.h_cuts:
-        if cut.cid in boundary_cuts:
-            continue
-        coeffs = blank()
-        for tid in cut.above_tiles:
-            coeffs[index[f"v{tid}"]] = coeffs[index[f"v{tid}"]] + aspect[tid]
-        for tid in cut.below_tiles:
-            coeffs[index[f"v{tid}"]] = coeffs[index[f"v{tid}"]] - aspect[tid]
-        rows.append((coeffs, zero))
+        if cut.cid not in boundary_cuts:
+            balance(cut.above_tiles, cut.below_tiles, aspect)
 
     return LinearSystem(variables, tuple(rows))
 
@@ -577,6 +554,12 @@ def dissection_to_json(d: Dissection) -> dict:
 
 
 def dissection_from_json(obj: dict) -> Dissection:
+    """Read the JSON object; anything off the file format raises an error
+    that is both a ``DissectionError`` and an ``InputError``."""
+    if not isinstance(obj, dict):
+        raise _MalformedDissection(
+            f"malformed dissection object: a {type(obj).__name__}, not an object"
+        )
     try:
         field = FieldSpec.from_json(obj["field"])
         big = obj.get("big") or {}
@@ -585,9 +568,12 @@ def dissection_from_json(obj: dict) -> Dissection:
         tiles = []
         for entry in obj["tiles"]:
             sketch = tuple(float(c) for c in entry["sketch"])
+            where = f"tile {entry.get('id')}"
             if len(sketch) != 4:
-                raise DissectionError(f"tile {entry.get('id')} sketch needs 4 numbers")
+                raise _MalformedDissection(f"{where} sketch needs 4 numbers")
             rect = entry.get("rect")
+            if rect and len(rect) != 4:
+                raise _MalformedDissection(f"{where} rect needs 4 scalars")
             tiles.append(
                 Tile(
                     int(entry["id"]),
@@ -596,8 +582,10 @@ def dissection_from_json(obj: dict) -> Dissection:
                     tuple(field.parse(c) for c in rect) if rect else None,
                 )
             )
-    except (KeyError, TypeError) as exc:
-        raise DissectionError(f"malformed dissection object: {exc}") from exc
+    except InputError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise _MalformedDissection(f"malformed dissection object: {exc}") from exc
     return Dissection(field, tiles, big_w=big_w, big_h=big_h)
 
 

@@ -28,7 +28,11 @@ from functools import lru_cache
 Rational = Fraction
 
 
-class ScalarParseError(ValueError):
+class InputError(ValueError):
+    """Malformed or out-of-range input; the command line exits 2 on it."""
+
+
+class ScalarParseError(InputError):
     """A scalar string does not match the textual syntax."""
 
 
@@ -40,8 +44,18 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+_MAX_RADICAND = 10**10
+
+
 @lru_cache(maxsize=None)
 def _is_squarefree(d: int) -> bool:
+    """Whether d > 1 has no square factor, by trial division up to sqrt(d).
+
+    Radicands above 10**10 (more than 10**5 trial divisors) raise
+    ``InputError``.
+    """
+    if d > _MAX_RADICAND:
+        raise InputError("radicand exceeds the supported bound 10^10")
     if d <= 1:
         return False
     k = 2
@@ -65,7 +79,7 @@ class QuadExt:
 
     def __init__(self, a, b, d: int):
         if not _is_squarefree(d):
-            raise ValueError(f"radicand must be a squarefree integer > 1, got {d}")
+            raise InputError(f"radicand must be a squarefree integer > 1, got {d}")
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
         object.__setattr__(self, "d", d)
@@ -587,11 +601,21 @@ _SQRT_TERM_RE = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)$")
 _TERM_SPLIT_RE = re.compile(r"[+-]?[^+-]+")
 
 
+def _numeral(digits: str, text: str, kind=Fraction):
+    """kind(digits) for a numeral that matched the syntax; scalar text errors."""
+    try:
+        return kind(digits)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in scalar: {text!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise ScalarParseError(f"{exc}: {text!r}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     s = "".join(text.split())
     if not _RATIONAL_RE.match(s):
         raise ScalarParseError(f"not a rational scalar: {text!r}")
-    return Fraction(s)
+    return _numeral(s, text)
 
 
 def parse_quadext(text: str, d: int | None = None):
@@ -613,14 +637,14 @@ def parse_quadext(text: str, d: int | None = None):
         m = _SQRT_TERM_RE.match(piece)
         if m:
             sign = -1 if m.group(1) == "-" else 1
-            c = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            dd = int(m.group(3))
+            c = _numeral(m.group(2), text) if m.group(2) else Fraction(1)
+            dd = _numeral(m.group(3), text, int)
             if seen_d is not None and dd != seen_d:
                 raise ScalarParseError(f"mixed radicands in scalar: {text!r}")
             seen_d = dd
             coeff += sign * c
         elif _RATIONAL_RE.match(piece):
-            rational += Fraction(piece)
+            rational += _numeral(piece, text)
         else:
             raise ScalarParseError(f"malformed scalar term: {piece!r}")
     if seen_d is not None:
@@ -661,7 +685,7 @@ def parse_symbolic_scalar(text: str) -> RatFunc:
     m = _SYMBOLIC_RE.match(s)
     if not m or (m.group(1) is None and m.group(2) is None):
         raise ScalarParseError(f"not a symbolic scalar: {text!r}")
-    c = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+    c = _numeral(m.group(1), text) if m.group(1) else Fraction(1)
     if m.group(2):
         return RatFunc(Poly.x().scale(c))
     return RatFunc.constant(c)
@@ -675,12 +699,12 @@ class FieldSpec:
     def __init__(self, kind: str, d: int | None = None):
         if kind == "rational":
             if d is not None:
-                raise ValueError("rational field takes no radicand")
+                raise InputError("rational field takes no radicand")
         elif kind == "quadratic":
             if d is None or not _is_squarefree(d):
-                raise ValueError("quadratic field needs a squarefree d > 1")
+                raise InputError("quadratic field needs a squarefree d > 1")
         else:
-            raise ValueError(f"unknown field kind {kind!r}")
+            raise InputError(f"unknown field kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "d", d)
 

@@ -1,5 +1,8 @@
 import json
+import time
 from pathlib import Path
+
+import pytest
 
 from tilecircuit.cli import run
 
@@ -158,3 +161,89 @@ def test_json_flag_everywhere(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "FAIL"
     assert payload["minimal_polynomial"] == "x^2 - 2"
+
+
+def _dissection(**overrides):
+    obj = {"field": {"kind": "rational"}, "big": {"w": "1", "h": "1"},
+           "tiles": [{"id": 1, "sketch": [0, 0, 1, 1], "aspect": "1",
+                      "rect": ["0", "0", "1", "1"]}]}
+    obj.update(overrides)
+    return json.dumps(obj)
+
+
+def _tile(**overrides):
+    tile = {"id": 1, "sketch": [0, 0, 1, 1], "aspect": "1", "rect": ["0", "0", "1", "1"]}
+    tile.update(overrides)
+    return _dissection(tiles=[tile])
+
+
+# (argv, file name -> content, expected exit code); "{file}" in argv is the
+# written file.  Every row ended in a traceback, a wrong exit code or a run
+# of seconds before the input boundary was drawn.
+BOUNDARY_CASES = {
+    # the known-defect rows of ROADMAP item 5
+    "poly not squarefree": (["lfs", "cond3", "--poly", "x^2-2x+1"], None, 2),
+    "poly constant": (["lfs", "cond3", "--poly", "5"], None, 2),
+    "elem radicand 4": (["lfs", "cond3", "--elem", "1+sqrt(4)"], None, 2),
+    "netlist id x": (["resistance", "{file}"], "R x a b 1\nV a b 1\n", 2),
+    "rect with 3 entries": (["validate", "{file}"],
+                            _tile(rect=["0", "0", "1"]), 2),
+    "top level a list": (["validate", "{file}"], "[1,2]", 2),
+    "radicand above the bound": (
+        ["lfs", "cond3", "--elem", "sqrt(1000000000000000003)"], None, 2),
+    "rational-root test, large constant": (
+        ["lfs", "cond3", "--poly", "x^3+x+30000000"], None, 1),
+    # the rest of the input family
+    "poly zero": (["lfs", "cond3", "--poly", "0"], None, 2),
+    "poly degree above the bound": (["lfs", "cond3", "--poly", "x^1000000+1"], None, 2),
+    "poly degree at the bound": (["lfs", "cond3", "--poly", "x^64+1"], None, 1),
+    "rational-root test above the bound": (
+        ["lfs", "cond3", "--poly", "x^3+x+100000000000"], None, 2),
+    "rational-root test, many divisors": (
+        ["lfs", "cond3", "--poly", "720720x^3+x+13860"], None, 1),
+    "rational-root test at the bound": (
+        ["lfs", "cond3", "--poly", "x^3+x+9999999967"], None, 1),
+    "radicand prime below the bound": (["lfs", "cond3", "--elem", "sqrt(9999999967)"],
+                                       None, 1),
+    "radicand --d 4": (["lfs", "cond3", "--elem", "7/5", "--d", "4"], None, 2),
+    "elem zero denominator": (["lfs", "cond3", "--elem", "1/0"], None, 2),
+    "netlist zero denominator": (["resistance", "{file}"], "R 1 a b 1/0\nV a b 1\n", 2),
+    "netlist radicand 4": (["resistance", "{file}"], "R 1 a b sqrt(4)\nV a b 1\n", 2),
+    "netlist not connected": (["resistance", "{file}"],
+                              "R 1 a b 1\nR 2 c d 1\nV a b 1\n", 2),
+    "field radicand 4": (["solve", "{file}"],
+                         _dissection(field={"kind": "quadratic", "d": 4}), 2),
+    "field not an object": (["solve", "{file}"], _dissection(field=[1]), 2),
+    "missing key": (["solve", "{file}"], json.dumps({"field": {"kind": "rational"}}), 2),
+    "tiles not a list": (["solve", "{file}"], _dissection(tiles=5), 2),
+    "sketch with 3 entries": (["solve", "{file}"], _tile(sketch=[0, 0, 1]), 2),
+    "sketch entry a word": (["solve", "{file}"], _tile(sketch=["a", 0, 1, 1]), 2),
+    "tile id a word": (["solve", "{file}"], _tile(id="x"), 2),
+    "aspect zero denominator": (["solve", "{file}"], _tile(aspect="1/0"), 2),
+    "duplicate tile ids": (["solve", "{file}"], _dissection(tiles=[
+        {"id": 1, "sketch": [0, 0, 1, 1], "aspect": "1"},
+        {"id": 1, "sketch": [1, 0, 1, 1], "aspect": "1"}]), 2),
+    "ladder top level a list": (["lfs", "eval-cf", "{file}"], "[1]", 2),
+    "ladder without coefficients": (
+        ["lfs", "eval-cf", "{file}"],
+        json.dumps({"field": {"kind": "rational"}, "R": "2", "c": []}), 2),
+    "theorem1 without tiles": (["theorem1", "{file}"], _dissection(tiles=[]), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+def test_input_boundary_exit_codes(name, tmp_path, capsys):
+    argv, content, expected = BOUNDARY_CASES[name]
+    if content is not None:
+        path = tmp_path / "input"
+        path.write_text(content)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    start = time.process_time()
+    code, out, err = invoke(capsys, *argv)
+    cpu = time.process_time() - start
+    assert code == expected
+    assert cpu < 0.5, f"{cpu:.2f} s of CPU"
+    if expected == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -26,6 +26,7 @@ from tilecircuit import (
     dehn_check,
     dump_dissection,
     extract_cuts,
+    format_scalar,
     junction_system,
     load_dissection,
     render_svg,
@@ -101,6 +102,77 @@ def test_shelf_junction_system_is_the_ten_equation_system():
     }
     assert row_signature(system) == expected
     assert len(system.rows) == 10
+
+
+# Node and cut numbering, and the order of the junction rows, are part of
+# the output: netlist node names and ``Inconsistent.row_index`` follow them.
+PINNED_CUTS = {
+    "shelf": (
+        [(0, 0.0, 0.0, 32.0, (), (3, 4, 9)), (1, 8.0, 15.0, 23.0, (4,), (1, 5)),
+         (2, 9.0, 22.0, 32.0, (1, 3), (2,)), (3, 15.0, 0.0, 22.0, (5, 9), (6, 7)),
+         (4, 19.0, 18.0, 32.0, (2, 6), (8,)), (5, 33.0, 0.0, 32.0, (7, 8), ())],
+        [(0, 0.0, 0.0, 33.0, (7, 9), ()), (1, 15.0, 0.0, 15.0, (4, 5), (9,)),
+         (2, 18.0, 15.0, 33.0, (6, 8), (7,)), (3, 22.0, 8.0, 19.0, (1, 2), (5, 6)),
+         (4, 23.0, 0.0, 9.0, (3,), (1, 4)), (5, 32.0, 0.0, 33.0, (), (2, 3, 8))],
+        (0, 5, 0, 5),
+        {1: (1, 2), 2: (2, 4), 3: (0, 2), 4: (0, 1), 5: (1, 3), 6: (3, 4),
+         7: (3, 5), 8: (4, 5), 9: (0, 3)},
+        {1: (3, 4), 2: (3, 5), 3: (4, 5), 4: (1, 4), 5: (1, 3), 6: (2, 3),
+         7: (0, 2), 8: (2, 5), 9: (0, 1)},
+        [({"v3": "1", "v4": "1", "v9": "1"}, "1"),
+         ({"v1": "-1", "v4": "1", "v5": "-1"}, "0"),
+         ({"v1": "1", "v2": "-1", "v3": "1"}, "0"),
+         ({"v5": "1", "v6": "-1", "v7": "-1", "v9": "1"}, "0"),
+         ({"v2": "1", "v6": "1", "v8": "-1"}, "0"),
+         ({"v2": "-1", "v3": "-1", "v8": "-1", "x": "1"}, "0"),
+         ({"v4": "1", "v5": "1", "v9": "-1"}, "0"),
+         ({"v6": "1", "v7": "-1", "v8": "1"}, "0"),
+         ({"v1": "1", "v2": "1", "v5": "-1", "v6": "-1"}, "0"),
+         ({"v1": "-1", "v3": "1", "v4": "-1"}, "0")],
+    ),
+    "five_similar": (
+        [(0, 0.0, 0.0, 1.0, (), (1, 4)), (1, 1 / 3, 0.0, 0.789, (1,), (2,)),
+         (2, 0.5, 0.789, 1.0, (4,), (5,)), (3, 2 / 3, 0.0, 0.789, (2,), (3,)),
+         (4, 1.0, 0.0, 1.0, (3, 5), ())],
+        [(0, 0.0, 0.0, 1.0, (1, 2, 3), ()), (1, 0.789, 0.0, 1.0, (4, 5), (1, 2, 3)),
+         (2, 1.0, 0.0, 1.0, (), (4, 5))],
+        (0, 4, 0, 2),
+        {1: (0, 1), 2: (1, 3), 3: (3, 4), 4: (0, 2), 5: (2, 4)},
+        {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (1, 2), 5: (1, 2)},
+        [({"v1": "1", "v4": "1"}, "1"),
+         ({"v1": "1", "v2": "-1"}, "0"),
+         ({"v4": "1", "v5": "-1"}, "0"),
+         ({"v2": "1", "v3": "-1"}, "0"),
+         ({"v4": "-3/2 - 1/2*sqrt(3)", "v5": "-3/2 - 1/2*sqrt(3)", "x": "1"}, "0"),
+         ({"v1": "-1 + 1/3*sqrt(3)", "v2": "-1 + 1/3*sqrt(3)",
+           "v3": "-1 + 1/3*sqrt(3)", "v4": "3/2 + 1/2*sqrt(3)",
+           "v5": "3/2 + 1/2*sqrt(3)"}, "0")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CUTS))
+def test_cut_numbering_and_ordered_junction_rows_are_pinned(name):
+    d = {"shelf": make_shelf, "five_similar": make_five_similar}[name]()
+    nodes, cuts, boundaries, tile_ends, tile_spans, rows = PINNED_CUTS[name]
+    cs = extract_cuts(d)
+    assert [(n.nid, n.x, n.y_lo, n.y_hi, n.left_tiles, n.right_tiles)
+            for n in cs.v_nodes] == nodes
+    assert [(c.cid, c.y, c.x_lo, c.x_hi, c.above_tiles, c.below_tiles)
+            for c in cs.h_cuts] == cuts
+    assert (cs.left_boundary, cs.right_boundary, cs.bottom_cut, cs.top_cut) == boundaries
+    assert cs.tile_ends == tile_ends and list(cs.tile_ends) == list(tile_ends)
+    assert cs.tile_spans == tile_spans and list(cs.tile_spans) == list(tile_spans)
+
+    system = junction_system(cs, d.tiles, d.field)
+    assert system.variables == tuple(f"v{t.tid}" for t in d.tiles) + ("x",)
+    field_type = type(d.field.zero)
+    got = []
+    for coeffs, rhs in system.rows:
+        assert all(type(c) is field_type for c in coeffs) and type(rhs) is field_type
+        got.append(({v: format_scalar(c) for v, c in zip(system.variables, coeffs) if c},
+                    format_scalar(rhs)))
+    assert got == rows
 
 
 def test_junction_equation_count_invariant():
