@@ -73,94 +73,118 @@ class QuadExt:
     between elements with different radicands raises ``ValueError``.  Plain
     ints and ``Fraction`` values coerce as b = 0 elements.  The field is
     ordered by its real embedding, decided exactly.
+
+    An element is stored as the integer triple (p + q*sqrt(d))/r with
+    r > 0 and gcd(p, q, r) = 1.  Since 1 and sqrt(d) are linearly
+    independent over Q, a = p/r and b = q/r, so r is a multiple of the
+    common denominator of a and b, and the gcd condition makes it exactly
+    that one: each element has one triple.  Equality, sign, order and truth
+    read the triple directly, arithmetic runs on ints with one gcd per
+    result, and ``a`` and ``b`` are read-only properties giving the
+    canonical ``Fraction`` components.  Only this constructor checks the
+    radicand and the component types; results of arithmetic reuse the
+    operands' checked radicand.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_p", "_q", "_r", "d")
 
     def __init__(self, a, b, d: int):
         if not _is_squarefree(d):
             raise InputError(f"radicand must be a squarefree integer > 1, got {d}")
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "d", d)
+        a, b = _as_fraction(a), _as_fraction(b)
+        r = math.lcm(a.denominator, b.denominator)
+        _set_p(self, a.numerator * (r // a.denominator))
+        _set_q(self, b.numerator * (r // b.denominator))
+        _set_r(self, r)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt values are immutable")
 
-    def _coerce(self, other) -> "QuadExt | None":
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._p, self._r)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(d)."""
+        return Fraction(self._q, self._r)
+
+    def _parts(self, other) -> "tuple[int, int, int] | None":
+        """other as a triple over this radicand; None for a foreign type."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise ValueError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return other._p, other._q, other._r
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._q == 0
 
     def conjugate(self) -> "QuadExt":
         """The field conjugate a - b*sqrt(d)."""
-        return QuadExt(self.a, -self.b, self.d)
+        return _triple(self._p, -self._q, self._r, self.d)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return _sum(self._p, self._q, self._r, *o, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        p, q, r = o
+        return _sum(self._p, self._q, self._r, -p, -q, r, self.d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
+        return _sum(*o, -self._p, -self._q, self._r, self.d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        p, q, r = o
+        sp, sq, d = self._p, self._q, self.d
+        return _reduced(sp * p + sq * q * d, sp * q + sq * p, self._r * r, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return _quotient(1, 0, 1, self._p, self._q, self._r, self.d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient(self._p, self._q, self._r, *o, self.d)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(*o, self._p, self._q, self._r, self.d)
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _triple(-self._p, -self._q, self._r, self.d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadExt(1, 0, self.d)
+        out = _triple(1, 0, 1, self.d)
         base = self
         while n:
             if n & 1:
@@ -172,36 +196,28 @@ class QuadExt:
     def __eq__(self, other):
         if isinstance(other, QuadExt) and other.d != self.d:
             # only the rational embeddings of distinct fields can agree
-            return self.b == 0 and other.b == 0 and self.a == other.a
-        o = self._coerce(other)
+            return (self._q == 0 and other._q == 0
+                    and self._p == other._p and self._r == other._r)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self._p == o[0] and self._q == o[1] and self._r == o[2]
 
     def __hash__(self):
-        if self.b == 0:
+        if self._q == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: compare a^2 against b^2*d, exactly
-        aa, bb = a * a, b * b * self.d
-        if a > 0:
-            return 1 if aa > bb else -1
-        return 1 if bb > aa else -1
+        return _sign(self._p, self._q, self.d)
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             raise TypeError(f"cannot order QuadExt against {type(other).__name__}")
-        return (self - o)._sign()
+        p, q, r = o
+        sr = self._r
+        return _sign(self._p * r - p * sr, self._q * r - q * sr, self.d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -216,7 +232,7 @@ class QuadExt:
         return self._cmp(other) >= 0
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._p != 0 or self._q != 0
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -226,6 +242,67 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
+
+
+_new_quad = object.__new__
+_set_p = QuadExt._p.__set__
+_set_q = QuadExt._q.__set__
+_set_r = QuadExt._r.__set__
+_set_d = QuadExt.d.__set__
+
+
+def _triple(p: int, q: int, r: int, d: int) -> QuadExt:
+    """(p + q*sqrt(d))/r from a triple already reduced with r > 0."""
+    x = _new_quad(QuadExt)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_r(x, r)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(p: int, q: int, r: int, d: int) -> QuadExt:
+    """(p + q*sqrt(d))/r for any r != 0: divide by gcd(p, q, r), make r > 0."""
+    g = math.gcd(p, q, r)
+    if r < 0:
+        g = -g
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    return _triple(p, q, r, d)
+
+
+def _sum(p1: int, q1: int, r1: int, p2: int, q2: int, r2: int, d: int) -> QuadExt:
+    """(p1 + q1*sqrt(d))/r1 plus (p2 + q2*sqrt(d))/r2."""
+    if r1 == r2:
+        return _reduced(p1 + p2, q1 + q2, r1, d)
+    return _reduced(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
+
+
+def _quotient(p1: int, q1: int, r1: int, p2: int, q2: int, r2: int, d: int) -> QuadExt:
+    """(p1 + q1*sqrt(d))/r1 divided by (p2 + q2*sqrt(d))/r2.
+
+    Multiplies through by the conjugate p2 - q2*sqrt(d); its norm
+    p2^2 - q2^2*d vanishes only for zero, since d is not a square.
+    """
+    norm = p2 * p2 - q2 * q2 * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in quadratic field")
+    return _reduced(r2 * (p1 * p2 - q1 * q2 * d), r2 * (q1 * p2 - p1 * q2), r1 * norm, d)
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d), decided exactly."""
+    if q == 0:
+        return -1 if p < 0 else (1 if p > 0 else 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if (p > 0) == (q > 0):
+        return 1 if p > 0 else -1
+    # opposite signs: compare p^2 against q^2*d, never equal for squarefree d
+    pp, qq = p * p, q * q * d
+    if p > 0:
+        return 1 if pp > qq else -1
+    return 1 if qq > pp else -1
 
 
 def quad_conjugate(x):
@@ -253,6 +330,7 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly values are immutable")
+
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -475,6 +553,7 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc values are immutable")
 
+
     @classmethod
     def constant(cls, c) -> "RatFunc":
         return cls(Poly.constant(c))
@@ -579,7 +658,7 @@ class RatFunc:
 def zero_like(x):
     """Additive identity of the field x belongs to."""
     if isinstance(x, QuadExt):
-        return QuadExt(0, 0, x.d)
+        return _triple(0, 0, 1, x.d)
     if isinstance(x, RatFunc):
         return RatFunc(Poly())
     return Fraction(0)
@@ -588,7 +667,7 @@ def zero_like(x):
 def one_like(x):
     """Multiplicative identity of the field x belongs to."""
     if isinstance(x, QuadExt):
-        return QuadExt(1, 0, x.d)
+        return _triple(1, 0, 1, x.d)
     if isinstance(x, RatFunc):
         return RatFunc.constant(1)
     return Fraction(1)
@@ -711,6 +790,7 @@ class FieldSpec:
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
 
+
     @classmethod
     def rational(cls) -> "FieldSpec":
         return cls("rational")
@@ -721,11 +801,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "rational" else QuadExt(0, 0, self.d)
+        return Fraction(0) if self.kind == "rational" else _triple(0, 0, 1, self.d)
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "rational" else QuadExt(1, 0, self.d)
+        return Fraction(1) if self.kind == "rational" else _triple(1, 0, 1, self.d)
 
     def parse(self, text: str):
         if self.kind == "rational":
