@@ -101,6 +101,8 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt values are immutable")
 
+    def __reduce__(self):
+        return QuadExt, (self.a, self.b, self.d)
 
     @property
     def a(self) -> Fraction:
@@ -331,6 +333,8 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly values are immutable")
 
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -553,6 +557,8 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc values are immutable")
 
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
 
     @classmethod
     def constant(cls, c) -> "RatFunc":
@@ -790,6 +796,8 @@ class FieldSpec:
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
 
+    def __reduce__(self):
+        return FieldSpec, (self.kind, self.d)
 
     @classmethod
     def rational(cls) -> "FieldSpec":

@@ -1,9 +1,13 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tilecircuit import (
+    FieldSpec,
     Poly,
     QuadExt,
     RatFunc,
@@ -17,6 +21,7 @@ from tilecircuit import (
     quad_conjugate,
     squarefree_check,
 )
+from tilecircuit.dissection import dump_dissection, load_dissection, solve_sizes
 from tilecircuit.fields import parse_symbolic_scalar
 
 
@@ -253,3 +258,34 @@ def test_canonicalization_idempotent():
     assert f == again
     p = Poly([1, 2, 0, 0])
     assert Poly(p.coeffs) == p
+
+
+@pytest.mark.parametrize("value", [
+    QuadExt(Fraction(3, 2), Fraction(-1, 6), 3),
+    QuadExt(7, 0, 2),
+    Poly([Fraction(1, 2), 0, -3]),
+    Poly(),
+    RatFunc(Poly([1, 1]), Poly([0, 2])),
+    RatFunc.constant(0),
+    FieldSpec.quadratic(5),
+    FieldSpec.rational(),
+], ids=repr)
+def test_immutable_values_copy_and_pickle(value):
+    for clone in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(clone) is type(value)
+        assert clone == value
+        assert hash(clone) == hash(value)
+        assert repr(clone) == repr(value)
+
+
+def test_loaded_dissection_deep_copies_and_pickles():
+    text = (Path(__file__).parent / "data" / "five_similar.json").read_text()
+    d = load_dissection(text)
+    for clone in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert clone == d
+        assert dump_dissection(clone) == dump_dissection(d)
+        assert solve_sizes(clone).ratio == solve_sizes(d).ratio
