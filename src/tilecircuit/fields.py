@@ -12,6 +12,18 @@ Three concrete scalar fields, all immutable and exact:
 supplies the division, gcd and Horner-evaluation machinery the other types
 and the algebraic checks are built on.
 
+A ``QuadExt`` is stored as one integer triple (p + q*sqrt(d))/r with r > 0
+and gcd(p, q, r) = 1, the form number-field libraries use (one common
+denominator, H. Cohen, *A Course in Computational Algebraic Number Theory*,
+1993, section 4.2.2).  Because 1 and sqrt(d) are linearly independent over
+Q, the form is unique, so its arithmetic, sign, order and equality run on
+Python ints with one gcd per result.  Its components ``a`` and ``b`` are
+read-only ``Fraction`` views.  Input is validated where it enters: the
+``QuadExt(a, b, d)`` constructor checks the radicand and the component
+types, as do ``parse_quadext`` and ``FieldSpec``, which go through it or
+check d themselves; values built by arithmetic inside this module reuse an
+already checked radicand and skip those checks.
+
 Scalars have a textual syntax used by every file format: a rational is
 ``p/q`` or ``p``; a quadratic element is ``a/b + c/e*sqrt(d)`` with either
 term omissible and whitespace insignificant.  Parsing and printing
@@ -209,9 +221,6 @@ class QuadExt:
         if self._q == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
-
-    def _sign(self) -> int:
-        return _sign(self._p, self._q, self.d)
 
     def _cmp(self, other) -> int:
         o = self._parts(other)

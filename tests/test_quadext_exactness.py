@@ -119,7 +119,6 @@ def test_comparisons_match_reference(d, a1, b1, a2, b2, k):
             assert outcome(op, x, near) == outcome(op, rx, near)
         for a, b in ((-near, b1), (near, -b1)):
             u, ru = pair(a, b, d)
-            assert outcome(QuadExt._sign, u) == outcome(ref.QuadExt._sign, ru)
             for op in COMPARE:
                 assert outcome(op, u, 0) == outcome(op, ru, 0)
 
