@@ -4,7 +4,7 @@ Every answer below is printed from ``QuadExt`` arithmetic, so a change to
 how quadratic scalars are stored or reduced shows here as a changed byte.
 ``quadratic_outputs.json`` holds, per case, the exit code, stdout and
 stderr of each command and the text of every file it writes; ``{tmp}``
-stands for the case's scratch directory.
+stands for the case's temporary directory.
 """
 
 import json
@@ -17,7 +17,7 @@ from tilecircuit.cli import run
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "quadratic_outputs.json").read_text(encoding="utf-8"))
 
-# Each case is a list of commands run in order in one scratch directory;
+# Each case is a list of commands run in order in one temporary directory;
 # "{tmp}" in an argument is replaced by that directory.
 CASES = {
     f"{name}-{mode}": [
