@@ -2,10 +2,10 @@
 
 Centers on one exact decision: do all complex roots of an integer
 polynomial lie in the open right half-plane?  The question is settled with
-the Routh scheme applied to P(-x) over exact rationals, so there is no
-tolerance anywhere.  Supporting cast: minimal polynomials of quadratic
-irrationals and the conjugation mechanism that transports one root of an
-integer polynomial to its field conjugate.
+the Routh-Cauer continued fraction of P(-x) over exact rationals, so there
+is no tolerance anywhere.  Supporting cast: minimal polynomials of
+quadratic irrationals and the conjugation mechanism that transports one
+root of an integer polynomial to its field conjugate.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class IntPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly values are immutable")
+
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
 
     @property
     def is_zero(self) -> bool:
@@ -174,11 +177,18 @@ def conjugate_lemma_check(p: IntPoly, x: QuadExt) -> ConjugationReport:
 def positive_real_part_all_roots(p: IntPoly) -> bool:
     """Exact test: every complex root of p has strictly positive real part.
 
-    Decided by the Routh scheme on q(x) = +-p(-x) (sign fixed so the leading
-    coefficient is positive): the answer is yes iff all first-column entries
-    are strictly positive.  A zero entry or a vanishing row certifies a root
-    with nonpositive real part, hence answers no.  Requires a squarefree
-    input so that boundary cases cannot hide behind repeated roots.
+    Decided by the Routh-Cauer continued fraction of q(x) = +-p(-x) (sign
+    fixed so the leading coefficient is positive).  With F the one of q's
+    even and odd parts that has degree n = deg q, and G the other, q has
+    every root in the open left half-plane (so p in the right) iff
+
+        F/G = c_1 x + 1/(c_2 x + 1/(... + 1/(c_n x)))  with every c_k > 0,
+
+    i.e. iff the Euclidean expansion of F over G runs n steps and each
+    quotient is c_k x with c_k > 0.  A remainder that vanishes early or a
+    quotient of another form certifies a root with nonpositive real part,
+    hence answers no.  Requires a squarefree input so that boundary cases
+    cannot hide behind repeated roots.
     """
     if p.is_zero:
         raise InputError("zero polynomial")
@@ -187,32 +197,20 @@ def positive_real_part_all_roots(p: IntPoly) -> bool:
     if not squarefree_check(p.to_poly()):
         raise InputError("polynomial must be squarefree")
 
-    q = [Fraction(c) for c in p.reflected().coeffs]  # leading already positive
-    n = len(q) - 1
-    if n == 1:
-        return q[1] > 0 and q[0] > 0
-
-    width = n // 2 + 1
-    high_first = q[::-1]
-    row0 = [high_first[i] if i < len(high_first) else Fraction(0) for i in range(0, 2 * width, 2)]
-    row1 = [high_first[i] if i < len(high_first) else Fraction(0) for i in range(1, 2 * width, 2)]
-    first_column = [row0[0]]
-    prev2, prev = row0, row1
-    for _ in range(n):
-        head = prev[0]
-        if head == 0:
+    q = p.reflected().coeffs  # leading already positive
+    even = Poly([c if k % 2 == 0 else 0 for k, c in enumerate(q)])
+    odd = Poly([c if k % 2 else 0 for k, c in enumerate(q)])
+    high, low = (even, odd) if p.degree % 2 == 0 else (odd, even)
+    for _ in range(p.degree):
+        if low.is_zero:
             return False
-        if all(c == 0 for c in prev):
+        # high and low differ in parity, so the quotient is odd: c_k x
+        # exactly when its degree is 1
+        quotient, rest = high.divmod(low)
+        if quotient.degree != 1 or not quotient.coeffs[1] > 0:
             return False
-        first_column.append(head)
-        nxt = []
-        for j in range(width - 1):
-            a = prev2[j + 1] if j + 1 < len(prev2) else Fraction(0)
-            b = prev[j + 1] if j + 1 < len(prev) else Fraction(0)
-            nxt.append((head * a - prev2[0] * b) / head)
-        nxt.append(Fraction(0))
-        prev2, prev = prev, nxt
-    return all(c > 0 for c in first_column)
+        high, low = low, rest
+    return True
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,14 @@ class Battery:
 
 
 class Netlist:
-    """Immutable resistor network with a single battery."""
+    """Immutable resistor network with a single battery.
 
-    __slots__ = ("resistors", "battery", "declared_nodes")
+    ``nodes`` is the sorted tuple of node names.  The connectivity check
+    builds the lexicographic BFS spanning tree once and keeps it for the
+    Kirchhoff rows and the potentials.
+    """
+
+    __slots__ = ("resistors", "battery", "declared_nodes", "nodes", "_tree")
 
     def __init__(self, resistors, battery: Battery, declared_nodes=()):
         object.__setattr__(self, "resistors", tuple(resistors))
@@ -75,14 +80,8 @@ class Netlist:
     def __setattr__(self, name, value):
         raise AttributeError("Netlist is immutable")
 
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        names = set(self.declared_nodes)
-        names.update((self.battery.plus, self.battery.minus))
-        for r in self.resistors:
-            names.add(r.node_a)
-            names.add(r.node_b)
-        return tuple(sorted(names))
+    def __reduce__(self):
+        return Netlist, (self.resistors, self.battery, self.declared_nodes)
 
     def _check(self):
         if self.battery.plus == self.battery.minus:
@@ -94,8 +93,16 @@ class Netlist:
             seen.add(r.rid)
             if not isinstance(r.value, RatFunc) and not r.value > zero_like(r.value):
                 raise _MalformedNetlist(f"resistor {r.rid} has nonpositive resistance")
-        if len(_spanning_tree(self)) != len(self.nodes):
+        names = set(self.declared_nodes)
+        names.update((self.battery.plus, self.battery.minus))
+        for r in self.resistors:
+            names.add(r.node_a)
+            names.add(r.node_b)
+        object.__setattr__(self, "nodes", tuple(sorted(names)))
+        tree = _spanning_tree(self)
+        if len(tree) != len(self.nodes):
             raise _MalformedNetlist("netlist graph is not connected")
+        object.__setattr__(self, "_tree", tree)
 
     def resistor(self, rid: int) -> Resistor:
         for r in self.resistors:
@@ -143,17 +150,6 @@ def _spanning_tree(net: Netlist) -> dict[str, tuple]:
     return parent
 
 
-def _tree_path(parent, node: str):
-    """Edges from the root down to node as (edge, child) pairs."""
-    path = []
-    while parent[node]:
-        edge, up = parent[node]
-        path.append((edge, node))
-        node = up
-    path.reverse()
-    return path
-
-
 def kirchhoff_system(net: Netlist) -> LinearSystem:
     """Current-law plus cycle voltage-law equations; unknowns I<id> and I.
 
@@ -186,40 +182,32 @@ def kirchhoff_system(net: Netlist) -> LinearSystem:
             coeffs[var_index["I"]] = coeffs[var_index["I"]] - one
         rows.append((coeffs, zero))
 
-    # voltage law around each fundamental cycle of the spanning tree
-    parent = _spanning_tree(net)
+    # voltage law around each fundamental cycle of the spanning tree: the
+    # chord a -> b, then up from b against each downward tree step and up
+    # from a along it, so the edges both walks share cancel to sense 0
+    parent = net._tree
     tree_edges = {info[0][0] for info in parent.values() if info}
-    resistance = {("R", r.rid): r.value for r in net.resistors}
+    weight = {("R", r.rid): r.value for r in net.resistors}
+    weight[_BATTERY_KEY] = net.battery.voltage
     for key, a, b in _edges(net):
         if key in tree_edges:
             continue
-        # walk a -> b along the chord, then b -> a through the tree
-        traversal = [(key, a, b, 1)]
-        path_a = _tree_path(parent, a)
-        path_b = _tree_path(parent, b)
-        shared = 0
-        while (
-            shared < len(path_a)
-            and shared < len(path_b)
-            and path_a[shared] == path_b[shared]
-        ):
-            shared += 1
-        for (ekey, ea, eb), child in reversed(path_b[shared:]):
-            # moving child -> parent: against the tree's downward step
-            sense = -1 if eb == child else 1
-            traversal.append((ekey, ea, eb, sense))
-        for (ekey, ea, eb), child in path_a[shared:]:
-            direction = 1 if eb == child else -1
-            traversal.append((ekey, ea, eb, direction))
+        senses = {key: 1}
+        for node, step in ((b, -1), (a, 1)):
+            while parent[node]:
+                (ekey, _, eb), up = parent[node]
+                senses[ekey] = senses.get(ekey, 0) + (step if eb == node else -step)
+                node = up
         coeffs = blank()
         rhs = zero
-        for ekey, ea, eb, sense in traversal:
+        for ekey, sense in senses.items():
+            if not sense:
+                continue
+            term = zero + weight[ekey] if sense > 0 else zero - weight[ekey]
             if ekey == _BATTERY_KEY:
-                rhs = rhs + net.battery.voltage if sense > 0 else rhs - net.battery.voltage
+                rhs = term
             else:
-                idx = var_index[f"I{ekey[1]}"]
-                term = resistance[ekey]
-                coeffs[idx] = coeffs[idx] + term if sense > 0 else coeffs[idx] - term
+                coeffs[var_index[f"I{ekey[1]}"]] = term
         rows.append((coeffs, rhs))
 
     return LinearSystem(variables, tuple(rows))
@@ -239,7 +227,7 @@ def solve_flow(net: Netlist) -> FlowSolution:
     u = net.battery.voltage
     zero = zero_like(u)
     potential = {net.battery.plus: u}
-    parent = _spanning_tree(net)
+    parent = net._tree
     resistance = {r.rid: r.value for r in net.resistors}
     # BFS insertion order already runs by depth, so parents come first
     for node in parent:
@@ -413,13 +401,7 @@ def format_netlist(net: Netlist) -> str:
     for node in sorted(net.declared_nodes - endpoint_nodes):
         lines.append(f"N {node}")
     for r in net.resistors:
-        lines.append(f"R {r.rid} {r.node_a} {r.node_b} {_scalar_text(r.value)}")
+        lines.append(f"R {r.rid} {r.node_a} {r.node_b} {format_scalar(r.value)}")
     b = net.battery
-    lines.append(f"V {b.plus} {b.minus} {_scalar_text(b.voltage)}")
+    lines.append(f"V {b.plus} {b.minus} {format_scalar(b.voltage)}")
     return "\n".join(lines) + "\n"
-
-
-def _scalar_text(value) -> str:
-    if isinstance(value, RatFunc):
-        return value.format()
-    return format_scalar(value)

@@ -1,8 +1,14 @@
+import copy
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import routh_reference
 
 from tilecircuit import (
     IntPoly,
@@ -14,6 +20,7 @@ from tilecircuit import (
     poly_eval,
     positive_real_part_all_roots,
 )
+from tilecircuit.fields import Poly
 
 
 def test_intpoly_normalization():
@@ -163,6 +170,59 @@ def test_matches_numeric_rootfinder_outside_exclusion_band():
             continue  # inside the oracle's exclusion band
         assert verdict == all(r.real > 0 for r in roots), f"coeffs={p.coeffs}"
         checked += 1
+
+
+def half_plane_outcome(test, p):
+    """The verdict, or the type and message of the error raised."""
+    try:
+        return test(p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_routh_array(p):
+    expected = half_plane_outcome(routh_reference.positive_real_part_all_roots, p)
+    assert half_plane_outcome(positive_real_part_all_roots, p) == expected, p.coeffs
+
+
+def test_half_plane_matches_routh_array_on_small_polynomials():
+    # degree 2 or less over [-3, 3], then the cubics over [-2, 2]
+    for coeffs in itertools.product(range(-3, 4), repeat=3):
+        assert_matches_routh_array(IntPoly(coeffs))
+    for coeffs in itertools.product(range(-2, 3), repeat=4):
+        assert_matches_routh_array(IntPoly(coeffs))
+
+
+# k x - m (root m/k) or (x - a)^2 + b^2 (roots a +- b i): real parts of
+# either sign or zero; distinct monic factors keep every product squarefree
+linear_factors = st.builds(
+    lambda m, k: Poly([-m, k]), st.integers(-4, 4), st.integers(1, 3)
+)
+quadratic_factors = st.builds(
+    lambda a, b: Poly([a * a + b * b, -2 * a, 1]), st.integers(-3, 3), st.integers(1, 3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(linear_factors, quadratic_factors),
+    min_size=1, max_size=4, unique_by=lambda factor: factor.monic(),
+))
+def test_half_plane_matches_routh_array_on_products(factors):
+    product = Poly([1])
+    for factor in factors:
+        product = product * factor
+    ints, _ = product.clear_denominators()
+    assert_matches_routh_array(IntPoly(ints))
+
+
+def test_intpoly_copies_and_pickles():
+    p = parse_intpoly("2x^3-6x+3")
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(clone) is IntPoly
+        assert clone == p
+        assert hash(clone) == hash(p)
+        assert repr(clone) == repr(p)
 
 
 def test_lfs_condition3_scalars():

@@ -1,4 +1,7 @@
+import copy
+import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +17,11 @@ from tilecircuit import (
     QuadExt,
     Resistor,
     Unique,
+    circuit_of_dissection,
     format_netlist,
     gauss_jordan,
     kirchhoff_system,
+    load_dissection,
     parallel,
     parse_netlist,
     replace_resistor_with_network,
@@ -388,3 +393,23 @@ def test_netlist_symbolic_parse():
     assert symbolic_resistance(net) == RatFunc(
         Poly([0, Fraction(3, 2)]), Poly([Fraction(3, 2), 1])
     )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_netlist((DATA / "net_series_1_1.txt").read_text()),
+    lambda: parse_netlist((DATA / "net_parallel_1_t.txt").read_text(), symbolic=True),
+    lambda: circuit_of_dissection(load_dissection((DATA / "shelf.json").read_text())),
+], ids=["parsed", "symbolic", "shelf"])
+def test_netlist_copies_and_pickles(make):
+    net = make()
+    for clone in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        assert type(clone) is Netlist
+        assert clone.nodes == net.nodes
+        assert clone.resistors == net.resistors
+        assert clone.battery == net.battery
+        assert clone.declared_nodes == net.declared_nodes
+        assert format_netlist(clone) == format_netlist(net)
+        assert resistance(clone) == resistance(net)
