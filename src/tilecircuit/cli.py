@@ -13,6 +13,7 @@ machine-readable object carrying the same exact scalars.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -314,10 +315,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses: built once per process, on first use.
+
+    argparse keeps no state between parses, and ``build_parser`` hands
+    every other caller a parser of its own, so sharing this one changes
+    no output.
+    """
+    return build_parser()
+
+
+# Options whose value may start with '-', such as --poly "-x+5".
+_SIGNED_VALUE_OPTIONS = ("--poly", "--elem")
+
+
+def _attach_signed_values(argv) -> list:
+    """Write ``--poly -x+5`` as ``--poly=-x+5``, which argparse accepts.
+
+    argparse takes a value such as "-x+5" for an unknown option and leaves
+    --poly without its argument.  A value that argparse would read as a
+    value anyway keeps its meaning, and "-h" and long options stay options.
+    Nothing after "--" is touched.
+    """
+    out = []
+    for arg in argv:
+        option = out[-1] if out else None
+        if (option in _SIGNED_VALUE_OPTIONS and arg.startswith("-")
+                and not arg.startswith("--") and arg != "-h" and "--" not in out):
+            out[-1] = f"{option}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_FAIL if exc.code else PASS
     out = _Output(args.json)

@@ -28,7 +28,6 @@ Ladder file format (JSON)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +45,7 @@ from .dissection import (
     Dissection,
     Tile,
     extract_cuts,
+    read_json,
     solve_sizes,
     validate_geometric,
 )
@@ -428,4 +428,4 @@ def ladder_from_json(obj: dict) -> LadderSpec:
 
 
 def load_ladder(text: str) -> LadderSpec:
-    return ladder_from_json(json.loads(text))
+    return ladder_from_json(read_json(text, _MalformedLadder))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -586,11 +587,32 @@ def dissection_from_json(obj: dict) -> Dissection:
         raise
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise _MalformedDissection(f"malformed dissection object: {exc}") from exc
-    return Dissection(field, tiles, big_w=big_w, big_h=big_h)
+    d = Dissection(field, tiles, big_w=big_w, big_h=big_h)
+    for t in d.tiles:
+        if not all(math.isfinite(c) for c in t.sketch):
+            raise _MalformedDissection(f"tile {t.tid} has a non-finite sketch coordinate")
+    return d
+
+
+def read_json(text: str, malformed: type[InputError]):
+    """``json.loads`` for an input file.
+
+    A syntax error stays a ``json.JSONDecodeError``.  The two other ways
+    ``json.loads`` fails, a number over Python's int-string digit limit and
+    nesting past the recursion limit, raise ``malformed`` instead.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise malformed("malformed JSON: a number has too many digits") from None
+    except RecursionError:
+        raise malformed("malformed JSON: nested too deeply") from None
 
 
 def load_dissection(text: str) -> Dissection:
-    return dissection_from_json(json.loads(text))
+    return dissection_from_json(read_json(text, _MalformedDissection))
 
 
 def dump_dissection(d: Dissection) -> str:

@@ -57,9 +57,12 @@ def _as_fraction(value) -> Fraction:
 
 
 _MAX_RADICAND = 10**10
+# Radicands remembered by _is_squarefree; bounded so that a long-lived
+# process that meets many radicands does not grow without limit.
+_SQUAREFREE_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SQUAREFREE_CACHE_SIZE)
 def _is_squarefree(d: int) -> bool:
     """Whether d > 1 has no square factor, by trial division up to sqrt(d).
 

@@ -1,10 +1,11 @@
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
 
-from tilecircuit.cli import run
+from tilecircuit.cli import _attach_signed_values, build_parser, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -228,6 +229,17 @@ BOUNDARY_CASES = {
         ["lfs", "eval-cf", "{file}"],
         json.dumps({"field": {"kind": "rational"}, "R": "2", "c": []}), 2),
     "theorem1 without tiles": (["theorem1", "{file}"], _dissection(tiles=[]), 1),
+    # json.loads fails without a JSONDecodeError, and sketches off the reals
+    "JSON number over the digit limit": (
+        ["solve", "{file}"], _tile(id="ID").replace('"ID"', "1" * 5000), 2),
+    "JSON nested too deeply": (["solve", "{file}"], "[" * 100_000 + "]" * 100_000, 2),
+    "ladder JSON number over the digit limit": (
+        ["lfs", "eval-cf", "{file}"],
+        '{"field": {"kind": "rational"}, "R": %s, "c": ["1"]}' % ("9" * 5000), 2),
+    "ladder JSON nested too deeply": (
+        ["lfs", "eval-cf", "{file}"], '{"c": ' + "[" * 100_000 + "]" * 100_000 + "}", 2),
+    "sketch Infinity": (["solve", "{file}"], _tile(sketch=[0, 0, math.inf, 1]), 2),
+    "sketch NaN": (["solve", "{file}"], _tile(sketch=[math.nan, 0, 1, 1]), 2),
 }
 
 
@@ -247,3 +259,55 @@ def test_input_boundary_exit_codes(name, tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("coordinate", range(4))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_sketch_names_its_tile(coordinate, value, tmp_path, capsys):
+    bad = [1, 0, 1, 1]
+    bad[coordinate] = value
+    path = tmp_path / "input.json"
+    path.write_text(_dissection(tiles=[
+        {"id": 1, "sketch": [0, 0, 1, 1], "aspect": "1"},
+        {"id": 2, "sketch": bad, "aspect": "1"}]))
+    code, out, err = invoke(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    # a NaN or negative width or height is caught first, as degenerate
+    assert err in ("error: tile 2 has a non-finite sketch coordinate\n",
+                   "error: tile 2 has a degenerate sketch\n")
+
+
+@pytest.mark.parametrize("option, value, expected", [
+    ("--poly", "-x+5", (0, "PASS  (polynomial: x - 5)\n")),
+    ("--elem", "-1+sqrt(2)", (1, "FAIL  (polynomial: x^2 + 2*x - 1)\n")),
+])
+def test_value_with_a_leading_minus(option, value, expected, capsys):
+    code, out, err = invoke(capsys, "lfs", "cond3", option, value)
+    assert (code, out, err) == (*expected, "")
+    assert invoke(capsys, "lfs", "cond3", f"{option}={value}") == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "-h"],
+    ["--poly", "--json"],
+    ["--elem", "--poly", "-x+5"],
+    ["--poly"],
+])
+def test_option_after_poly_or_elem_stays_an_option(argv, capsys):
+    code, out, err = invoke(capsys, "lfs", "cond3", *argv)
+    assert code == 2 and out == ""
+    assert "expected one argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "-5"],
+    ["--poly", "- x + 5"],
+    ["--poly", "-"],
+    ["--elem", "-2", "--d", "3"],
+    ["--d", "-3", "--elem", "-2"],
+    ["--poly=-x+5"],
+])
+def test_values_that_parse_today_parse_the_same(argv):
+    argv = ["lfs", "cond3", *argv]
+    assert (vars(build_parser().parse_args(_attach_signed_values(argv)))
+            == vars(build_parser().parse_args(argv)))

@@ -289,3 +289,12 @@ def test_loaded_dissection_deep_copies_and_pickles():
         assert clone == d
         assert dump_dissection(clone) == dump_dissection(d)
         assert solve_sizes(clone).ratio == solve_sizes(d).ratio
+
+
+def test_squarefree_cache_stays_bounded():
+    from tilecircuit import fields
+
+    size = fields._SQUAREFREE_CACHE_SIZE
+    for d in range(2, 2 + 3 * size):
+        fields._is_squarefree(d)
+    assert fields._is_squarefree.cache_info().currsize == size
