@@ -5,8 +5,15 @@ from any of the exact scalar fields, and exactly one battery edge fixes the
 source.  The current-law and voltage-law equations are assembled into a
 square linear system (one node equation dropped as redundant, one voltage
 equation per fundamental cycle of a deterministic spanning tree) and solved
-by exact elimination.  Over Q(t) the same machinery yields the network
-resistance as a rational function of a symbolic resistor value.
+by exact elimination.
+
+Over Q(t) the network resistance is a rational function of the symbolic
+resistor value t.  By Kirchhoff's matrix-tree theorem it is
+det L(+,-) / det L(-) of the weighted Laplacian; both determinants, scaled
+to polynomials, are evaluated at rational points by the Laplacian kernel of
+``linear`` and interpolated once.  A symbolic resistance must be nonzero
+with no negative coefficient in its lowest-terms numerator and monic
+denominator, so it is positive at every t > 0.
 
 Netlist text format, one item per line ("#" starts a comment):
 
@@ -26,6 +33,7 @@ from dataclasses import dataclass
 
 from .fields import (
     InputError,
+    Poly,
     RatFunc,
     ScalarParseError,
     format_scalar,
@@ -35,7 +43,13 @@ from .fields import (
     parse_symbolic_scalar,
     zero_like,
 )
-from .linear import Inconsistent, LinearSystem, Parametric, gauss_jordan
+from .linear import (
+    Inconsistent,
+    LinearSystem,
+    Parametric,
+    gauss_jordan,
+    laplacian_determinants,
+)
 
 
 class CircuitError(Exception):
@@ -91,7 +105,7 @@ class Netlist:
             if r.rid in seen:
                 raise _MalformedNetlist(f"duplicate resistor id {r.rid}")
             seen.add(r.rid)
-            if not isinstance(r.value, RatFunc) and not r.value > zero_like(r.value):
+            if not _positive(r.value):
                 raise _MalformedNetlist(f"resistor {r.rid} has nonpositive resistance")
         names = set(self.declared_nodes)
         names.update((self.battery.plus, self.battery.minus))
@@ -111,6 +125,13 @@ class Netlist:
         raise KeyError(f"no resistor with id {rid}")
 
 
+def _positive(value) -> bool:
+    """value > 0; a RatFunc must be nonzero with no negative coefficient."""
+    if isinstance(value, RatFunc):
+        return bool(value) and all(c >= 0 for c in value.num.coeffs + value.den.coeffs)
+    return value > zero_like(value)
+
+
 @dataclass(frozen=True)
 class FlowSolution:
     edge_current: dict        # resistor id -> current, signed along a -> b
@@ -120,6 +141,9 @@ class FlowSolution:
 
 
 _BATTERY_KEY = ("V",)
+_NO_CURRENT = (
+    "battery carries no current: the network has no closed path through the battery"
+)
 
 
 def _edges(net: Netlist):
@@ -245,10 +269,7 @@ def solve_flow(net: Netlist) -> FlowSolution:
 
     if battery_current == zero:
         if u != zero:
-            raise CircuitError(
-                "battery carries no current: the network has no closed "
-                "path through the battery"
-            )
+            raise CircuitError(_NO_CURRENT)
         total = None
     else:
         total = u / battery_current
@@ -282,13 +303,60 @@ def symbolic_resistance(net: Netlist) -> RatFunc:
     lowest terms with a monic denominator.  Evaluating it at a rational t0
     agrees with the resistance of the network instantiated at t0 (specific
     t0 may still hit a vanishing denominator, detected only on evaluation).
+
+    With r_e = a_e/b_e, the matrix-tree theorem gives the resistance as
+    N/D, where N = det L(+,-) * prod a_e and D = det L(-) * prod a_e are
+    polynomials of degree at most K = sum max(deg a_e, deg b_e).  Both are
+    evaluated at t = 1, ..., K+1, where every r_e is positive, and fitted
+    by Newton divided differences.
     """
     for r in net.resistors:
         if not isinstance(r.value, RatFunc):
             raise CircuitError(f"resistor {r.rid} is not symbolic")
     if net.battery.voltage != RatFunc.constant(1):
         raise CircuitError("symbolic resistance expects a unit battery")
-    return resistance(net)
+    edges = [(r.node_a, r.node_b, r.value.num, r.value.den)
+             for r in net.resistors if r.node_a != r.node_b]
+    degree = sum(max(a.degree, b.degree) for _, _, a, b in edges)
+    num_values, den_values = [], []
+    for t0 in range(1, degree + 2):
+        scale = 1
+        conductances = []
+        for node_a, node_b, a, b in edges:
+            a0 = a.eval(t0)
+            scale *= a0
+            conductances.append((node_a, node_b, b.eval(t0) / a0))
+        minor, det = laplacian_determinants(
+            conductances, net.battery.minus, net.battery.plus
+        )
+        if not det:
+            raise CircuitError(_NO_CURRENT)
+        num_values.append(minor * scale)
+        den_values.append(det * scale)
+    return RatFunc(_interpolate(num_values), _interpolate(den_values))
+
+
+def _interpolate(values) -> Poly:
+    """The polynomial of degree < len(values) taking values[i] at t = i + 1.
+
+    Newton divided differences on the points 1, 2, ..., n, whose spacing
+    j at order j makes every divisor an integer; then the Newton form is
+    expanded by Horner's rule.
+    """
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    coeffs = [c[-1]]
+    for k in range(n - 2, -1, -1):
+        # coeffs * (t - (k + 1)) + c[k]
+        shifted = [0] + coeffs
+        for i, x in enumerate(coeffs):
+            shifted[i] -= x * (k + 1)
+        shifted[0] += c[k]
+        coeffs = shifted
+    return Poly(coeffs)
 
 
 def replace_resistor_with_network(

@@ -18,12 +18,18 @@ inconsistent ones are exactly those of plain input-order Gauss-Jordan.  The
 outcome explicitly distinguishes the three possibilities: a unique
 assignment, a parametric family (free variables plus affine expressions
 for the bound ones), or inconsistency with the offending reduced row.
+
+``laplacian_determinants`` is a second, dedicated kernel for resistor
+networks: it eliminates a grounded weighted Laplacian over ``Fraction`` in
+minimum-degree order and returns two determinants from one pass, which is
+what the matrix-tree theorem needs for a network resistance.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .fields import zero_like
 
@@ -45,14 +51,6 @@ class LinearSystem:
                     f"{len(self.variables)} variables"
                 )
         object.__setattr__(self, "rows", rows)
-
-    def dump(self) -> str:
-        """Debug text, one row per line."""
-        lines = []
-        for coeffs, rhs in self.rows:
-            terms = " + ".join(f"({c})*{v}" for c, v in zip(coeffs, self.variables))
-            lines.append(f"{terms} = {rhs}")
-        return "\n".join(lines)
 
 
 class AffineExpr:
@@ -262,6 +260,73 @@ def _input_order_solve(system: LinearSystem) -> SolveOutcome:
         }
         bound[variables[j]] = AffineExpr(rhs[i], expr_coeffs)
     return Parametric(free, bound)
+
+
+_ZERO = Fraction(0)
+
+
+def laplacian_determinants(edges, ground, last) -> tuple[Fraction, Fraction]:
+    """det L(ground, last) and det L(ground) of a weighted graph Laplacian.
+
+    ``edges`` yields ``(node_a, node_b, conductance)`` with positive
+    conductances; self-loops are skipped and parallel edges summed.  L(S)
+    is the Laplacian with the rows and columns of the nodes in S deleted.
+    The nodes other than ``ground`` and ``last`` are eliminated in
+    minimum-degree order (Tinney-Walker: fewest off-diagonal entries, ties
+    to the node seen first), each node keeping one dict of off-diagonal
+    conductances; ``last`` goes last.  The product of the pivots before it
+    is det L(ground, last), and times its pivot det L(ground).
+
+    Every node must reach ``ground`` or ``last`` through the edges.  Then
+    L(ground, last) is a positive definite M-matrix, every pivot before the
+    last is a Schur complement of it and so positive, and a nonpositive one
+    is an internal error.  The last pivot is the conductance between
+    ``last`` and ``ground``; it is zero when no edge path joins them.
+    """
+    diag: dict = {last: _ZERO}
+    off: dict = {last: {}}
+    for a, b, g in edges:
+        if a == b:
+            continue
+        for u, v in ((a, b), (b, a)):
+            if u == ground:
+                continue
+            diag[u] = diag.get(u, _ZERO) + g
+            row = off.setdefault(u, {})
+            if v != ground:
+                row[v] = row.get(v, 0) + g
+    seen = {u: i for i, u in enumerate(off)}
+    heap = [(len(row), seen[u], u) for u, row in off.items() if u != last]
+    heapq.heapify(heap)
+    minor = Fraction(1)
+    while heap:
+        size, _, v = heapq.heappop(heap)
+        row = off.get(v)
+        if row is None or size != len(row):
+            continue  # eliminated, or a stale entry; the current size is queued too
+        del off[v]
+        p = diag.pop(v)
+        if not p > 0:
+            raise ArithmeticError(f"nonpositive Laplacian pivot {p} at node {v!r}")
+        minor *= p
+        links = [(u, g / p, g) for u, g in row.items()]
+        for i, (u, f, g) in enumerate(links):
+            target = off[u]
+            del target[v]
+            diag[u] -= f * g
+            for w, _, h in links[i + 1:]:
+                # the Schur complement adds g*h/p to both (u, w) and (w, u)
+                fill = f * h
+                target[w] = target.get(w, 0) + fill
+                other = off[w]
+                other[u] = other.get(u, 0) + fill
+        for u, _, _ in links:
+            if u != last:
+                heapq.heappush(heap, (len(off[u]), seen[u], u))
+    p = diag[last]
+    if p < 0:
+        raise ArithmeticError(f"negative Laplacian pivot {p} at node {last!r}")
+    return minor, minor * p
 
 
 def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:

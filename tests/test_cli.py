@@ -88,6 +88,18 @@ def test_resistance_symbolic(capsys):
     assert out.strip() == "t/(t + 1)"
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("R 1 a b 0\nR 2 a b t\nV a b 1\n", 2, "error: resistor 1 has nonpositive resistance"),
+    ("R 1 a b -1*t\nV a b 1\n", 2, "error: resistor 1 has nonpositive resistance"),
+    ("R 1 a c t\nR 2 b d 1\nV a b 1\n", 1,
+     "error: battery carries no current: the network has no closed path through the battery"),
+])
+def test_resistance_symbolic_refusals(tmp_path, capsys, text, code, message):
+    net = tmp_path / "net.txt"
+    net.write_text(text)
+    assert invoke(capsys, "resistance", str(net), "--symbolic") == (code, "", message + "\n")
+
+
 def test_equiv_check(capsys):
     code, out, _ = invoke(capsys, "equiv-check", str(DATA / "shelf.json"))
     assert code == 0

@@ -2,12 +2,16 @@
 
 The command line maps ``InputError`` to exit 2, so any other exception that
 escapes a parser would reach the user as a traceback or a wrong exit code.
+The same near-valid netlist files also go through ``cli.run`` end to end.
 """
 
+import contextlib
 import copy
+import io
+import time
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tilecircuit import (
     InputError,
@@ -19,6 +23,7 @@ from tilecircuit import (
     parse_rational,
 )
 from tilecircuit.algcheck import _has_rational_root
+from tilecircuit.cli import run
 
 SCALAR_ALPHABET = "0123456789/+-*. sqrt()t"
 POSITIVE = st.from_regex(r"[1-9]\d{0,2}(/[1-9]\d{0,2})?", fullmatch=True)
@@ -104,11 +109,17 @@ WORD = st.one_of(st.sampled_from(["a", "b", "c", "d", "1", "x"]), st.text(max_si
 TOKEN = st.one_of(st.sampled_from(["R", "V", "N", "Q", "#", "t", "0"]),
                   st.integers(0, 3).map(str), POSITIVE, WORD, SCALAR)
 VALID_NETLIST = [["R", "1", "a", "b", "1"], ["R", "2", "b", "c", "2"], ["V", "a", "c", "1"]]
+
+
+def netlist_text(lines) -> str:
+    return "\n".join(
+        " ".join(map(str, line)) if isinstance(line, list) else str(line)
+        for line in (lines if isinstance(lines, list) else [lines]))
+
+
 NETLIST = st.one_of(
     near(VALID_NETLIST, st.one_of(st.just(DELETE), TOKEN, st.lists(TOKEN, max_size=5)))
-    .map(lambda lines: "\n".join(
-        " ".join(map(str, line)) if isinstance(line, list) else str(line)
-        for line in (lines if isinstance(lines, list) else [lines]))),
+    .map(netlist_text),
     st.lists(st.lists(TOKEN, max_size=6).map(" ".join), max_size=5).map("\n".join),
     st.text(),
 )
@@ -118,6 +129,32 @@ NETLIST = st.one_of(
 @given(NETLIST, st.booleans())
 def test_parse_netlist_boundary(text, symbolic):
     value_or_input_error(parse_netlist, text, symbolic)
+
+
+CLI_CPU_SECONDS = 2.0
+# a Wheatstone bridge whose mutants mostly parse, so that they reach the solvers
+VALID_BRIDGE = [["R", "1", "a", "c", "1"], ["R", "2", "a", "d", "2*t"],
+                ["R", "3", "c", "b", "t"], ["R", "4", "d", "b", "3/2"],
+                ["R", "5", "c", "d", "t"], ["V", "a", "b", "1"]]
+BRIDGE_TOKEN = st.one_of(st.just(DELETE), POSITIVE, st.sampled_from(
+    ["a", "b", "c", "d", "e", "t", "0", "-1", "0*t", "-1*t", "1/2*t", "sqrt(2)",
+     "1 + sqrt(2)", "R", "V", "N"]))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(NETLIST, near(VALID_BRIDGE, BRIDGE_TOKEN).map(netlist_text)))
+def test_resistance_command_boundary(tmp_path, text):
+    """Exit 0, 1 or 2 with no traceback, in text and symbolic mode alike."""
+    path = tmp_path / "net.txt"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["resistance", str(path)], ["resistance", str(path), "--symbolic"]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.process_time() - start < CLI_CPU_SECONDS
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 VALID_DISSECTION = {

@@ -6,8 +6,9 @@ reads the tree its ``Netlist`` kept and writes every voltage-law row from
 signed walks up to the root.  Both must give the same variables and the
 same rows, with the same coefficient types, on random connected netlists
 with self-loops and parallel edges over Q and Q(sqrt d), on symbolic
-netlists (resistances ``0`` and ``-t`` included) and on the networks of
-dissections.  A certificate builds its spanning tree once.
+netlists and on the networks of dissections.  A symbolic resistance of
+``0`` or ``-t`` is refused when the netlist is built.  A certificate
+builds its spanning tree once.
 """
 
 import random
@@ -20,6 +21,7 @@ import kirchhoff_reference as ref
 from conftest import corpus, make_five_similar, make_shelf
 from tilecircuit import (
     Battery,
+    InputError,
     Netlist,
     QuadExt,
     Resistor,
@@ -35,7 +37,7 @@ from tilecircuit import circuit
 from tilecircuit.fields import parse_symbolic_scalar
 
 DATA = Path(__file__).parent / "data"
-SYMBOLIC = [parse_symbolic_scalar(s) for s in ("t", "2*t", "1/3*t", "1", "5/2", "0", "-1*t")]
+SYMBOLIC = [parse_symbolic_scalar(s) for s in ("t", "2*t", "1/3*t", "1", "5/2")]
 
 
 def assert_same_system(net):
@@ -101,6 +103,16 @@ def test_rows_match_reference_on_symbolic_netlists():
     for _ in range(40):
         assert_same_system(
             random_multigraph(rng, lambda r: r.choice(SYMBOLIC), lambda r: r.choice(SYMBOLIC))
+        )
+
+
+@pytest.mark.parametrize("text", ["0", "-1*t"])
+def test_nonpositive_symbolic_resistances_are_refused(text):
+    one = parse_symbolic_scalar("1")
+    with pytest.raises(InputError, match="resistor 2 has nonpositive resistance"):
+        Netlist(
+            [Resistor(1, "a", "b", one), Resistor(2, "a", "b", parse_symbolic_scalar(text))],
+            Battery("a", "b", one),
         )
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cramer_solve, make_shelf, SHELF_SIDES, SHELF_X
+from conftest import cramer_solve, determinant, make_shelf, SHELF_SIDES, SHELF_X
 from tilecircuit import (
     AffineExpr,
     Inconsistent,
@@ -14,6 +14,7 @@ from tilecircuit import (
     extract_cuts,
     gauss_jordan,
     junction_system,
+    laplacian_determinants,
     substitute_and_verify,
 )
 
@@ -189,3 +190,52 @@ def test_solves_over_quadratic_field():
     assert isinstance(outcome, Unique)
     assert substitute_and_verify(system, outcome)
     assert outcome.assignment["u"] == outcome.assignment["v"] == 1
+
+
+def grounded_laplacian(edges, removed):
+    """The weighted Laplacian, rows and columns of ``removed`` deleted."""
+    nodes = sorted({n for a, b, _ in edges for n in (a, b)} - set(removed))
+    index = {n: i for i, n in enumerate(nodes)}
+    lap = [[Fraction(0)] * len(nodes) for _ in nodes]
+    for a, b, g in edges:
+        for u, v in ((a, b), (b, a)):
+            if u in index:
+                lap[index[u]][index[u]] += g
+                if v in index:
+                    lap[index[u]][index[v]] -= g
+    return lap
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_laplacian_determinants_match_cofactor_expansion(seed):
+    """Self-loops, parallel edges and either orientation, up to 7 nodes."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 6))]
+    edges = [(f"n{a}", f"n{b}", Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+             for a, b in edges]
+    ground, last = rng.sample([f"n{i}" for i in range(n)], 2)
+    minor, det = laplacian_determinants(edges, ground, last)
+    assert det == determinant(grounded_laplacian(edges, [ground]))
+    assert minor == (determinant(grounded_laplacian(edges, [ground, last])) if n > 2
+                     else 1)
+
+
+def test_laplacian_last_pivot_is_the_conductance():
+    edges = [("a", "m", Fraction(1)), ("m", "b", Fraction(1, 2)), ("a", "b", Fraction(3)),
+             ("m", "m", Fraction(5))]
+    minor, det = laplacian_determinants(edges, "b", "a")
+    assert minor == Fraction(3, 2)
+    assert det / minor == 3 + Fraction(1, 3)  # 3 in parallel with 1 + 2 ohms
+
+
+def test_laplacian_of_unjoined_terminals_is_singular():
+    minor, det = laplacian_determinants([("a", "c", Fraction(1)), ("b", "d", Fraction(2))],
+                                        "b", "a")
+    assert (minor, det) == (2, 0)
+
+
+def test_laplacian_node_joined_to_neither_terminal_is_an_internal_error():
+    with pytest.raises(ArithmeticError, match="nonpositive Laplacian pivot"):
+        laplacian_determinants([("a", "b", Fraction(1)), ("c", "d", Fraction(1))], "b", "a")
