@@ -2,10 +2,13 @@
 
 A netlist is a connected multigraph: resistors carry positive resistances
 from any of the exact scalar fields, and exactly one battery edge fixes the
-source.  The current-law and voltage-law equations are assembled into a
-square linear system (one node equation dropped as redundant, one voltage
-equation per fundamental cycle of a deterministic spanning tree) and solved
-by exact elimination.
+source.  The flow is solved by nodal analysis: the weighted Laplacian in
+conductances, grounded at the minus terminal, is eliminated once by the
+Laplacian kernel of ``linear``, which back-substitutes every node potential
+from V(plus) = U.  Each current is then a potential difference times a
+conductance, and the battery current is U times the conductance between
+the terminals.  ``kirchhoff_system`` assembles the current-law and cycle
+voltage-law equations as a square linear system for callers that want it.
 
 Over Q(t) the network resistance is a rational function of the symbolic
 resistor value t.  By Kirchhoff's matrix-tree theorem it is
@@ -44,11 +47,10 @@ from .fields import (
     zero_like,
 )
 from .linear import (
-    Inconsistent,
     LinearSystem,
-    Parametric,
-    gauss_jordan,
+    gauss_jordan,  # noqa: F401  a module-level name that perfbench/spans.py wraps
     laplacian_determinants,
+    laplacian_potentials,
 )
 
 
@@ -238,34 +240,26 @@ def kirchhoff_system(net: Netlist) -> LinearSystem:
 
 
 def solve_flow(net: Netlist) -> FlowSolution:
-    """Solve the Kirchhoff system; the outcome is provably unique."""
-    outcome = gauss_jordan(kirchhoff_system(net))
-    if isinstance(outcome, (Parametric, Inconsistent)):
-        raise CircuitError(
-            "Kirchhoff system failed to determine a unique flow; "
-            "this contradicts the uniqueness theorem for valid netlists"
-        )
-    currents = {r.rid: outcome.assignment[f"I{r.rid}"] for r in net.resistors}
-    battery_current = outcome.assignment["I"]
+    """Solve the nodal equations by one grounded Laplacian elimination.
 
+    The minus terminal is grounded and V(plus) = U; each resistor current
+    is (V_a - V_b) times its conductance, so a self-loop carries zero, and
+    the battery current is U times the conductance between the terminals.
+    Potentials are listed in the spanning tree's BFS order.
+    """
     u = net.battery.voltage
     zero = zero_like(u)
-    potential = {net.battery.plus: u}
-    parent = net._tree
-    resistance = {r.rid: r.value for r in net.resistors}
-    # BFS insertion order already runs by depth, so parents come first
-    for node in parent:
-        if not parent[node]:
-            continue
-        (key, a, b), up = parent[node][0], parent[node][1]
-        base = potential[up]
-        if key == _BATTERY_KEY:
-            # stepping plus -> minus through the battery lowers by U
-            potential[node] = base - u if node == net.battery.minus else base + u
-        else:
-            drop = currents[key[1]] * resistance[key[1]]
-            # resistor a -> b drops by I*R from a to b
-            potential[node] = base - drop if node == b else base + drop
+    conductance = {r.rid: one_like(r.value) / r.value for r in net.resistors}
+    volts, between = laplacian_potentials(
+        ((r.node_a, r.node_b, conductance[r.rid]) for r in net.resistors),
+        net.battery.plus, net.battery.minus, u,
+    )
+    currents = {
+        r.rid: (volts[r.node_a] - volts[r.node_b]) * conductance[r.rid]
+        for r in net.resistors
+    }
+    battery_current = u * between
+    potential = {node: volts[node] for node in net._tree}
 
     if battery_current == zero:
         if u != zero:

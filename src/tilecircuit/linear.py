@@ -19,10 +19,12 @@ outcome explicitly distinguishes the three possibilities: a unique
 assignment, a parametric family (free variables plus affine expressions
 for the bound ones), or inconsistency with the offending reduced row.
 
-``laplacian_determinants`` is a second, dedicated kernel for resistor
-networks: it eliminates a grounded weighted Laplacian over ``Fraction`` in
-minimum-degree order and returns two determinants from one pass, which is
-what the matrix-tree theorem needs for a network resistance.
+Resistor networks have a second, dedicated kernel: one elimination of a
+grounded weighted Laplacian in minimum-degree order, over any of the
+fields.  ``laplacian_potentials`` back-substitutes the node potentials of
+a network driven across two terminals and returns the conductance between
+them; ``laplacian_determinants`` multiplies the same pivots into the two
+determinants that the matrix-tree theorem needs for a network resistance.
 """
 
 from __future__ import annotations
@@ -31,15 +33,21 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import zero_like
+from .fields import RatFunc, zero_like
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rows of (coefficient vector, right-hand side) over a common field."""
+    """Rows of (coefficient vector, right-hand side) over a common field.
+
+    ``nonzeros`` holds each row's nonzero coefficients as a
+    ``column -> coefficient`` dict, computed once; the solver and the
+    substitution check read only these.
+    """
 
     variables: tuple[str, ...]
     rows: tuple[tuple[tuple, object], ...]
+    nonzeros: tuple[dict, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -51,6 +59,9 @@ class LinearSystem:
                     f"{len(self.variables)} variables"
                 )
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nonzeros", tuple(
+            {j: c for j, c in enumerate(coeffs) if c} for coeffs, _ in rows
+        ))
 
 
 class AffineExpr:
@@ -128,16 +139,13 @@ def gauss_jordan(system: LinearSystem) -> SolveOutcome:
     outcome.
     """
     solution = _markowitz_solve(
-        _sparse_rows(system), [b for _, b in system.rows], len(system.variables)
+        [dict(row) for row in system.nonzeros],
+        [b for _, b in system.rows],
+        len(system.variables),
     )
     if solution is not None:
         return Unique(dict(zip(system.variables, solution)))
     return _input_order_solve(system)
-
-
-def _sparse_rows(system: LinearSystem) -> list[dict]:
-    """The nonzero coefficients of every row, as column -> value dicts."""
-    return [{j: c for j, c in enumerate(coeffs) if c} for coeffs, _ in system.rows]
 
 
 def _column_index(rows, nvars: int) -> list[set]:
@@ -223,7 +231,7 @@ def _input_order_solve(system: LinearSystem) -> SolveOutcome:
     """The reference pass: input-order Gauss-Jordan on the sparse store."""
     variables = system.variables
     nvars = len(variables)
-    original = _sparse_rows(system)
+    original = system.nonzeros
     rows = [dict(row) for row in original]
     rhs = [b for _, b in system.rows]
     col_rows = _column_index(rows, nvars)
@@ -265,23 +273,27 @@ def _input_order_solve(system: LinearSystem) -> SolveOutcome:
 _ZERO = Fraction(0)
 
 
-def laplacian_determinants(edges, ground, last) -> tuple[Fraction, Fraction]:
-    """det L(ground, last) and det L(ground) of a weighted graph Laplacian.
+def _eliminate_laplacian(edges, ground, last) -> tuple[list, object]:
+    """Eliminate every node but ``ground`` and ``last`` of a grounded Laplacian.
 
-    ``edges`` yields ``(node_a, node_b, conductance)`` with positive
-    conductances; self-loops are skipped and parallel edges summed.  L(S)
-    is the Laplacian with the rows and columns of the nodes in S deleted.
-    The nodes other than ``ground`` and ``last`` are eliminated in
+    ``edges`` yields ``(node_a, node_b, conductance)``; self-loops are
+    skipped and parallel edges summed.  The Laplacian loses the row and
+    column of ``ground``, and its other nodes are eliminated in
     minimum-degree order (Tinney-Walker: fewest off-diagonal entries, ties
     to the node seen first), each node keeping one dict of off-diagonal
-    conductances; ``last`` goes last.  The product of the pivots before it
-    is det L(ground, last), and times its pivot det L(ground).
+    conductances; ``last`` goes last and is left uneliminated.
 
-    Every node must reach ``ground`` or ``last`` through the edges.  Then
-    L(ground, last) is a positive definite M-matrix, every pivot before the
-    last is a Schur complement of it and so positive, and a nonpositive one
-    is an internal error.  The last pivot is the conductance between
-    ``last`` and ``ground``; it is zero when no edge path joins them.
+    Returns the steps ``(node, pivot, links)`` in elimination order, where
+    ``links`` lists ``(neighbour, g / pivot, g)`` for each off-diagonal
+    conductance g the node held when it went, and the last pivot, the Schur
+    complement at ``last``: the conductance between ``last`` and ``ground``,
+    zero when no edge path joins them.
+
+    Every node must reach ``ground`` or ``last`` through the edges.  Then,
+    with positive conductances, every pivot before the last is a Schur
+    complement of a positive definite M-matrix and so positive: a
+    nonpositive one, or a negative last pivot, is an internal error.  Over
+    ``RatFunc``, which has no order, only a zero pivot before the last is.
     """
     diag: dict = {last: _ZERO}
     off: dict = {last: {}}
@@ -298,7 +310,7 @@ def laplacian_determinants(edges, ground, last) -> tuple[Fraction, Fraction]:
     seen = {u: i for i, u in enumerate(off)}
     heap = [(len(row), seen[u], u) for u, row in off.items() if u != last]
     heapq.heapify(heap)
-    minor = Fraction(1)
+    steps = []
     while heap:
         size, _, v = heapq.heappop(heap)
         row = off.get(v)
@@ -306,9 +318,8 @@ def laplacian_determinants(edges, ground, last) -> tuple[Fraction, Fraction]:
             continue  # eliminated, or a stale entry; the current size is queued too
         del off[v]
         p = diag.pop(v)
-        if not p > 0:
+        if not (p if isinstance(p, RatFunc) else p > 0):
             raise ArithmeticError(f"nonpositive Laplacian pivot {p} at node {v!r}")
-        minor *= p
         links = [(u, g / p, g) for u, g in row.items()]
         for i, (u, f, g) in enumerate(links):
             target = off[u]
@@ -323,10 +334,45 @@ def laplacian_determinants(edges, ground, last) -> tuple[Fraction, Fraction]:
         for u, _, _ in links:
             if u != last:
                 heapq.heappush(heap, (len(off[u]), seen[u], u))
+        steps.append((v, p, links))
     p = diag[last]
-    if p < 0:
+    if not isinstance(p, RatFunc) and p < 0:
         raise ArithmeticError(f"negative Laplacian pivot {p} at node {last!r}")
+    return steps, p
+
+
+def laplacian_determinants(edges, ground, last) -> tuple[Fraction, Fraction]:
+    """det L(ground, last) and det L(ground) of a weighted graph Laplacian.
+
+    L(S) is the Laplacian with the rows and columns of the nodes in S
+    deleted.  After ``_eliminate_laplacian``, the product of the pivots
+    before ``last`` is det L(ground, last), and times the last pivot it is
+    det L(ground).
+    """
+    steps, p = _eliminate_laplacian(edges, ground, last)
+    minor = Fraction(1)
+    for _, pivot, _ in steps:
+        minor *= pivot
     return minor, minor * p
+
+
+def laplacian_potentials(edges, plus, minus, voltage) -> tuple[dict, object]:
+    """Node potentials with V(plus) = voltage and V(minus) = 0, in the
+    field of ``voltage``, and the conductance between plus and minus.
+
+    The Laplacian grounded at ``minus`` is eliminated with ``plus`` last.
+    No current leaves a free node, so its potential is the ``g / pivot``
+    weighted sum of its links', back-substituted in reverse order.
+    """
+    steps, conductance = _eliminate_laplacian(edges, minus, plus)
+    zero = zero_like(voltage)
+    potential = {plus: voltage, minus: zero}
+    for v, _, links in reversed(steps):
+        total = zero
+        for u, f, _ in links:
+            total = total + f * potential[u]
+        potential[v] = total
+    return potential, conductance
 
 
 def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
@@ -341,23 +387,21 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
         return isinstance(gauss_jordan(system), Inconsistent)
 
     variables = system.variables
+    rows = zip(system.nonzeros, (rhs for _, rhs in system.rows))
     if isinstance(outcome, Unique):
         assignment = outcome.assignment
-        for coeffs, rhs in system.rows:
+        for row, rhs in rows:
             total = zero_like(rhs)
-            for j, c in enumerate(coeffs):
-                if c:
-                    total = total + c * assignment[variables[j]]
+            for j, c in row.items():
+                total = total + c * assignment[variables[j]]
             if total != rhs:
                 return False
         return True
 
-    for coeffs, rhs in system.rows:
+    for row, rhs in rows:
         const = zero_like(rhs)
         acc: dict[str, object] = {}
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
+        for j, c in row.items():
             var = variables[j]
             if var in outcome.bound:
                 e = outcome.bound[var]

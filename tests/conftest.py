@@ -1,9 +1,12 @@
 """Shared fixture corpus and independent oracles for the test suite."""
 
+import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from tilecircuit import (
     Battery,
@@ -11,8 +14,12 @@ from tilecircuit import (
     FieldSpec,
     Netlist,
     QuadExt,
+    RatFunc,
     Resistor,
     Tile,
+    ladder_dissection,
+    load_dissection,
+    load_ladder,
 )
 
 # Unique exact solution of the nine-square shelf (vertical side normalized
@@ -203,3 +210,73 @@ def cramer_solve(coeff_rows, rhs):
 @pytest.fixture
 def rng():
     return random.Random(20260811)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def tilings():
+    """The corpus, the data dissections and the ladder tiling of ladder_sqrt3."""
+    tilings = dict(corpus())
+    for name in ("five_similar", "shelf", "wall_sqrt2", "wall_sqrt5"):
+        tilings[name] = load_dissection((DATA / f"{name}.json").read_text())
+    tilings["ladder_sqrt3"] = ladder_dissection(
+        load_ladder((DATA / "ladder_sqrt3.json").read_text())
+    )
+    return tilings
+
+
+def positive_ratfunc(value: RatFunc) -> bool:
+    return bool(value) and min(value.num.coeffs + value.den.coeffs) >= 0
+
+
+_COEFF = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+_ATOM = st.one_of(_COEFF.map(RatFunc.constant), _COEFF.map(lambda c: RatFunc.t() * c))
+# symbolic resistances: c, c*t and their positive sums, products and quotients
+SYMBOLIC_VALUE = st.recursive(
+    _ATOM,
+    lambda inner: st.builds(lambda op, x, y: op(x, y),
+                            st.sampled_from([operator.add, operator.mul, operator.truediv]),
+                            inner, inner),
+    max_leaves=3,
+).filter(positive_ratfunc)
+
+
+@st.composite
+def multigraphs(draw, values=SYMBOLIC_VALUE, voltages=st.just(RatFunc.constant(1))):
+    """A netlist that is connected, though perhaps only through its battery.
+
+    Nodes 0..n-1 get a random resistor tree; with ``split`` the tree edge
+    into node ``cut`` is left out, so the battery, placed across the cut,
+    is the only link between the two parts.  Resistances are drawn from
+    ``values`` and the battery voltage from ``voltages``.
+    """
+    n = draw(st.integers(2, 5))
+    split = draw(st.integers(0, 3)) == 0
+    cut = draw(st.integers(1, n - 1))
+    ends = []
+    for i in range(1, n):
+        if split and i == cut:
+            continue
+        # under a split, nodes past the cut hang from nodes past the cut
+        ends.append((draw(st.integers(cut if split and i > cut else 0, i - 1)), i))
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, n - 1))
+        if split:
+            b = draw(st.integers(*((0, cut - 1) if a < cut else (cut, n - 1))))
+        else:
+            b = draw(st.integers(0, n - 1))
+        ends.append((a, b))  # a self-loop, a parallel edge or any pair
+    resistors = []
+    for rid, (a, b) in enumerate(draw(st.permutations(ends)), start=1):
+        if draw(st.booleans()):
+            a, b = b, a
+        resistors.append(Resistor(rid, f"n{a}", f"n{b}", draw(values)))
+    if split:
+        plus, minus = draw(st.integers(0, cut - 1)), draw(st.integers(cut, n - 1))
+        if draw(st.booleans()):
+            plus, minus = minus, plus
+    else:
+        plus, minus = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True))
+    return Netlist(resistors, Battery(f"n{plus}", f"n{minus}", draw(voltages)))

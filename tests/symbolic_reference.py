@@ -4,14 +4,17 @@
 determinants at rational points with the Laplacian kernel and interpolates
 once.  This is the function it replaced, copied verbatim: it solves the
 Kirchhoff system over Q(t) through ``resistance``, ``solve_flow`` and
-``gauss_jordan``, which stay in the library for other callers.  The tests
-in ``test_symbolic_exactness.py`` require both routes to give the same
-``RatFunc``, or to raise the same exception type with the same message.
+``gauss_jordan``.  The library's ``solve_flow`` now runs on the Laplacian
+kernel, so ``resistance`` comes from ``flow_reference.py``, which keeps the
+cycle-law route.  The tests in ``test_symbolic_exactness.py`` require both
+routes to give the same ``RatFunc``, or to raise the same exception type
+with the same message.
 """
 
 from __future__ import annotations
 
-from tilecircuit.circuit import CircuitError, Netlist, resistance
+from flow_reference import resistance
+from tilecircuit.circuit import CircuitError, Netlist
 from tilecircuit.fields import RatFunc
 
 

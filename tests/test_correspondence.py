@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -41,6 +42,7 @@ from tilecircuit import (
     theorem1_certificate,
     validate_geometric,
 )
+from tilecircuit import correspondence
 
 
 def test_shelf_circuit_shape():
@@ -131,6 +133,76 @@ def test_single_square_equivalence():
     assert report.ok
     assert report.battery_current == 1
     assert report.resistance == 1
+
+
+DISAGREE = "junction and Kirchhoff systems disagree on a solution"
+
+
+def certify_corrupted(monkeypatch, d, corrupt):
+    """certify_equivalence of d, its sizing passed through corrupt() first."""
+    size = correspondence.solve_sizes
+
+    def corrupted(d):
+        sizing = size(d)
+        return dataclasses.replace(sizing, sized=corrupt(sizing.sized))
+
+    monkeypatch.setattr(correspondence, "solve_sizes", corrupted)
+    return certify_equivalence(d)
+
+
+def shifted(sized, tid, index, delta):
+    """sized with rect[index] of tile tid moved by delta."""
+    def move(t):
+        rect = list(t.rect)
+        rect[index] += delta
+        return dataclasses.replace(t, rect=tuple(rect))
+
+    return dataclasses.replace(
+        sized, tiles=[move(t) if t.tid == tid else t for t in sized.tiles]
+    )
+
+
+def test_certificate_refuses_a_changed_height(monkeypatch):
+    """Current is not conserved, and the tile breaks Ohm's law."""
+    report = certify_corrupted(
+        monkeypatch, make_shelf(), lambda s: shifted(s, 7, 3, Fraction(1, 32))
+    )
+    assert not report.systems_agree
+    assert report.mismatches() == ("tile 7: side 19/32 != current 9/16", DISAGREE)
+
+
+def test_certificate_refuses_a_moved_tile(monkeypatch):
+    """Tile 7's terminals get potentials no other tile there gives them."""
+    report = certify_corrupted(
+        monkeypatch, make_shelf(), lambda s: shifted(s, 7, 0, Fraction(1, 32))
+    )
+    assert not report.systems_agree
+    assert report.mismatches() == (DISAGREE,)
+
+
+def test_certificate_refuses_a_changed_big_height(monkeypatch):
+    """The battery current is not conserved at the terminals."""
+    report = certify_corrupted(
+        monkeypatch, make_shelf(), lambda s: dataclasses.replace(s, big_h=s.big_h * 2)
+    )
+    assert not report.systems_agree
+    assert report.mismatches() == ("battery current 1 != big vertical side 2", DISAGREE)
+
+
+def test_certificate_refuses_heights_that_break_ohms_law(monkeypatch):
+    """A circulation through the two parallel tiles conserves current, but
+    neither tile obeys Ohm's law any more."""
+    delta = Fraction(1, 10)
+    report = certify_corrupted(
+        monkeypatch, make_two_rows(Fraction(1), Fraction(2)),
+        lambda s: shifted(shifted(s, 1, 3, delta), 2, 3, -delta),
+    )
+    assert not report.systems_agree
+    assert report.mismatches() == (
+        "tile 1: side 23/30 != current 2/3",
+        "tile 2: side 7/30 != current 1/3",
+        DISAGREE,
+    )
 
 
 def test_smith_duality_resistance_equals_ratio():

@@ -10,11 +10,13 @@ from tilecircuit import (
     LinearSystem,
     Parametric,
     QuadExt,
+    RatFunc,
     Unique,
     extract_cuts,
     gauss_jordan,
     junction_system,
     laplacian_determinants,
+    laplacian_potentials,
     substitute_and_verify,
 )
 
@@ -206,20 +208,47 @@ def grounded_laplacian(edges, removed):
     return lap
 
 
+CONDUCTANCE_FIELDS = {
+    "Q": lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+    "Q(sqrt3)": lambda rng: QuadExt(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                                    Fraction(rng.randint(0, 3), rng.randint(1, 4)), 3),
+    "Q(t)": lambda rng: rng.choice([
+        RatFunc.constant(Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+        RatFunc.t() * rng.randint(1, 5) + rng.randint(0, 3),
+        RatFunc.constant(1) / (RatFunc.t() + rng.randint(1, 4)),
+    ]),
+}
+
+
+def random_network(rng, field, max_nodes, max_extra):
+    """Nodes n0..n(n-1), each hanging from an earlier one, plus extra edges:
+    self-loops, parallel edges and either orientation."""
+    n = rng.randint(2, max_nodes)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, max_extra))]
+    value = CONDUCTANCE_FIELDS[field]
+    return [f"n{i}" for i in range(n)], [(f"n{a}", f"n{b}", value(rng)) for a, b in edges]
+
+
+def assert_cofactor_determinants(rng, field, max_nodes, max_extra):
+    nodes, edges = random_network(rng, field, max_nodes, max_extra)
+    ground, last = rng.sample(nodes, 2)
+    minor, det = laplacian_determinants(edges, ground, last)
+    assert det == determinant(grounded_laplacian(edges, [ground]))
+    assert minor == (determinant(grounded_laplacian(edges, [ground, last]))
+                     if len(nodes) > 2 else 1)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_laplacian_determinants_match_cofactor_expansion(seed):
     """Self-loops, parallel edges and either orientation, up to 7 nodes."""
-    rng = random.Random(seed)
-    n = rng.randint(2, 7)
-    edges = [(rng.randrange(i), i) for i in range(1, n)]
-    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 6))]
-    edges = [(f"n{a}", f"n{b}", Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-             for a, b in edges]
-    ground, last = rng.sample([f"n{i}" for i in range(n)], 2)
-    minor, det = laplacian_determinants(edges, ground, last)
-    assert det == determinant(grounded_laplacian(edges, [ground]))
-    assert minor == (determinant(grounded_laplacian(edges, [ground, last])) if n > 2
-                     else 1)
+    assert_cofactor_determinants(random.Random(seed), "Q", 7, 6)
+
+
+@pytest.mark.parametrize("field", ["Q(sqrt3)", "Q(t)"])
+@pytest.mark.parametrize("seed", range(10))
+def test_laplacian_determinants_match_cofactor_expansion_beyond_q(field, seed):
+    assert_cofactor_determinants(random.Random(seed), field, 6, 4)
 
 
 def test_laplacian_last_pivot_is_the_conductance():
@@ -239,3 +268,49 @@ def test_laplacian_of_unjoined_terminals_is_singular():
 def test_laplacian_node_joined_to_neither_terminal_is_an_internal_error():
     with pytest.raises(ArithmeticError, match="nonpositive Laplacian pivot"):
         laplacian_determinants([("a", "b", Fraction(1)), ("c", "d", Fraction(1))], "b", "a")
+
+
+
+@pytest.mark.parametrize("field", sorted(CONDUCTANCE_FIELDS))
+@pytest.mark.parametrize("seed", range(15))
+def test_laplacian_potentials_solve_the_nodal_equations(field, seed):
+    """Against Cramer's rule on the nodal equations of the free nodes."""
+    rng = random.Random(seed)
+    nodes, edges = random_network(rng, field, 6, 5)
+    plus, minus = rng.sample(nodes, 2)
+    voltage = CONDUCTANCE_FIELDS[field](rng) * rng.choice([1, -1, 0])
+    potential, conductance = laplacian_potentials(edges, plus, minus, voltage)
+
+    free = [v for v in nodes if v not in (plus, minus)]
+    index = {v: i for i, v in enumerate(free)}
+    matrix = [[Fraction(0)] * len(free) for _ in free]
+    rhs = [Fraction(0)] * len(free)
+    for a, b, g in edges:
+        if a == b:
+            continue
+        for u, w in ((a, b), (b, a)):
+            if u in index:
+                matrix[index[u]][index[u]] += g
+                if w in index:
+                    matrix[index[u]][index[w]] -= g
+                elif w == plus:
+                    rhs[index[u]] += g * voltage
+    want = cramer_solve(matrix, rhs) if free else []
+    assert set(potential) == {plus, minus, *free}
+    assert potential[plus] == voltage and potential[minus] == 0
+    for v, x in zip(free, want):
+        assert potential[v] == x
+    # the current into plus is U times the conductance between the terminals
+    current = Fraction(0)
+    for a, b, g in edges:
+        if a != b and plus in (a, b):
+            other = b if a == plus else a
+            current += g * (voltage - potential[other])
+    assert current == voltage * conductance
+
+
+@pytest.mark.parametrize("g", [Fraction(1), QuadExt(1, 1, 2), RatFunc.t()],
+                         ids=["Q", "Q(sqrt2)", "Q(t)"])
+def test_laplacian_potentials_free_node_joined_to_neither_terminal_is_an_internal_error(g):
+    with pytest.raises(ArithmeticError, match="nonpositive Laplacian pivot"):
+        laplacian_potentials([("a", "b", g), ("c", "d", g)], "a", "b", g)

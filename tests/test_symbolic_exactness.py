@@ -10,15 +10,13 @@ joined only through the battery, on the theorem-1 networks of the test
 tilings and on the networks of every test dissection.
 """
 
-import operator
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import symbolic_reference as ref
-from conftest import corpus
+from conftest import multigraphs, tilings
 from tilecircuit import (
     Battery,
     CircuitError,
@@ -26,15 +24,11 @@ from tilecircuit import (
     RatFunc,
     Resistor,
     circuit_of_dissection,
-    ladder_dissection,
-    load_dissection,
-    load_ladder,
     symbolic_resistance,
     theorem1_certificate,
 )
 from tilecircuit import correspondence
 
-DATA = Path(__file__).parent / "data"
 T = RatFunc.t()
 ONE = RatFunc.constant(1)
 
@@ -49,60 +43,6 @@ def outcome(solve, net):
 
 def assert_same(net):
     assert outcome(symbolic_resistance, net) == outcome(ref.symbolic_resistance, net)
-
-
-def positive(value: RatFunc) -> bool:
-    return bool(value) and min(value.num.coeffs + value.den.coeffs) >= 0
-
-
-COEFF = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
-ATOM = st.one_of(COEFF.map(RatFunc.constant), COEFF.map(lambda c: T * c))
-VALUE = st.recursive(
-    ATOM,
-    lambda inner: st.builds(lambda op, x, y: op(x, y),
-                            st.sampled_from([operator.add, operator.mul, operator.truediv]),
-                            inner, inner),
-    max_leaves=3,
-).filter(positive)
-
-
-@st.composite
-def multigraphs(draw):
-    """A netlist that is connected, though perhaps only through its battery.
-
-    Nodes 0..n-1 get a random resistor tree; with ``split`` the tree edge
-    into node ``cut`` is left out, so the battery, placed across the cut,
-    is the only link between the two parts.
-    """
-    n = draw(st.integers(2, 5))
-    split = draw(st.integers(0, 3)) == 0
-    cut = draw(st.integers(1, n - 1))
-    ends = []
-    for i in range(1, n):
-        if split and i == cut:
-            continue
-        # under a split, nodes past the cut hang from nodes past the cut
-        ends.append((draw(st.integers(cut if split and i > cut else 0, i - 1)), i))
-    for _ in range(draw(st.integers(0, 3))):
-        a = draw(st.integers(0, n - 1))
-        if split:
-            b = draw(st.integers(*((0, cut - 1) if a < cut else (cut, n - 1))))
-        else:
-            b = draw(st.integers(0, n - 1))
-        ends.append((a, b))  # a self-loop, a parallel edge or any pair
-    resistors = []
-    for rid, (a, b) in enumerate(draw(st.permutations(ends)), start=1):
-        if draw(st.booleans()):
-            a, b = b, a
-        resistors.append(Resistor(rid, f"n{a}", f"n{b}", draw(VALUE)))
-    if split:
-        plus, minus = draw(st.integers(0, cut - 1)), draw(st.integers(cut, n - 1))
-        if draw(st.booleans()):
-            plus, minus = minus, plus
-    else:
-        plus, minus = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
-                                    unique=True))
-    return Netlist(resistors, Battery(f"n{plus}", f"n{minus}", ONE))
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,16 +68,6 @@ def test_terminals_joined_only_through_the_battery():
 def test_refusals_match_reference(net):
     assert outcome(symbolic_resistance, net)[0] is CircuitError
     assert_same(net)
-
-
-def tilings():
-    tilings = dict(corpus())
-    for name in ("five_similar", "shelf", "wall_sqrt2", "wall_sqrt5"):
-        tilings[name] = load_dissection((DATA / f"{name}.json").read_text())
-    tilings["ladder_sqrt3"] = ladder_dissection(
-        load_ladder((DATA / "ladder_sqrt3.json").read_text())
-    )
-    return tilings
 
 
 @pytest.mark.parametrize("name, d", sorted(tilings().items()))

@@ -12,7 +12,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from test_symbolic_exactness import ONE, VALUE
+from conftest import SYMBOLIC_VALUE as VALUE
+from test_symbolic_exactness import ONE
 from tilecircuit import Battery, Netlist, Resistor, symbolic_resistance
 
 t = sympy.Symbol("t")
