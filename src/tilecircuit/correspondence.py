@@ -47,6 +47,7 @@ from .dissection import (
     Dissection,
     Tile,
     extract_cuts,
+    junction_system,
     read_json,
     solve_sizes,
     validate_geometric,
@@ -174,8 +175,9 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
 
     as_sides = {f"v{t.tid}": flow.edge_current[t.tid] for t in sizing.sized.tiles}
     as_sides["x"] = net.battery.voltage
+    system = junction_system(sizing.cuts, sizing.sized.tiles, sizing.sized.field, vertical)
     agree = _obeys_circuit_laws(net, sizing.sized) and substitute_and_verify(
-        sizing.system, Unique(as_sides)
+        system, Unique(as_sides)
     )
 
     return EquivalenceReport(

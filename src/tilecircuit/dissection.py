@@ -3,13 +3,17 @@
 A dissection is described twice over.  Decimal *sketch* rectangles define
 the combinatorics only: which tiles meet along which cuts, read off the
 drawing up to a relative tolerance of 1e-6.  Exact sizes are never taken
-from the sketch; they are recomputed by solving the junction conditions --
-along every vertical cut the vertical sides meeting from the left balance
-those from the right, along every horizontal cut the horizontal sides from
-above balance those from below -- with the big rectangle's vertical side
+from the sketch.  They must satisfy the junction conditions -- along every
+vertical cut the vertical sides meeting from the left balance those from
+the right, along every horizontal cut the horizontal sides from above
+balance those from below -- with the big rectangle's vertical side
 normalized and each tile's horizontal side expressed through its aspect
-ratio.  The solved dissection carries exact coordinates and can be
-validated, tested for the all-squares/rational-ratio property, or rendered.
+ratio.  These are Kirchhoff's laws for the network whose nodes are the
+vertical cuts and whose resistors are the tiles, so sizing is one grounded
+Laplacian solve: tile heights are the currents and cut x-coordinates the
+potentials, and cut y-coordinates are then propagated from the bottom.  The
+solved dissection carries exact coordinates and can be validated, tested
+for the all-squares/rational-ratio property, or rendered.
 
 Dissection file format (JSON)::
 
@@ -31,7 +35,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .fields import FieldSpec, InputError, QuadExt, format_scalar
-from .linear import Inconsistent, LinearSystem, Parametric, gauss_jordan
+from .linear import (
+    LinearSystem,
+    gauss_jordan,  # noqa: F401  a module-level name that perfbench/spans.py wraps
+    laplacian_potentials,
+)
 
 SKETCH_REL_TOL = 1e-6
 
@@ -335,8 +343,6 @@ def junction_system(
 class SizingResult:
     sized: Dissection
     ratio: object          # big horizontal side / big vertical side
-    system: LinearSystem
-    assignment: dict       # variable name -> solved value
     cuts: CutStructure
 
 
@@ -344,43 +350,46 @@ def solve_sizes(d: Dissection) -> SizingResult:
     """Size a sketched dissection exactly.
 
     The big vertical side is taken from ``d.big_h`` when present (1
-    otherwise); a unique junction solution is turned into exact rectangles
-    by propagating cut positions, and the result is geometrically
-    validated.  Inconsistent and parametric outcomes, nonpositive sides,
-    and a contradicted declared width all raise ``SizingError``.
+    otherwise).  Tile k is a resistor of conductance 1/aspect from its left
+    vertical node to its right one; with potential 1 on the left side and 0
+    on the right, the network conducts G, so scaling by U = big_h / G makes
+    the big horizontal side U, node x-coordinates (1 - V) * U and tile
+    heights the currents.  Cut y-coordinates are propagated from the
+    bottom, and the result is geometrically validated.  Four tiles meeting at a point,
+    nonpositive sides, and a contradicted declared width raise
+    ``SizingError``.
     """
     cs = extract_cuts(d)
-    normalization = d.big_h if d.big_h is not None else d.field.one
-    if not normalization > d.field.zero:
+    field = d.field
+    normalization = d.big_h if d.big_h is not None else field.one
+    if not normalization > field.zero:
         raise SizingError("big vertical side must be positive")
-    system = junction_system(cs, d.tiles, d.field, normalization)
-    outcome = gauss_jordan(system)
-    if isinstance(outcome, Inconsistent):
-        raise SizingError("tiling cannot be sized with these ratios")
-    if isinstance(outcome, Parametric):
+    # The junction system has V + H - 2 equations for T + 1 unknowns, and a
+    # point where four tiles meet leaves it one equation short.
+    if len(d.tiles) + 1 != len(cs.v_nodes) + len(cs.h_cuts) - 2:
         raise SizingError("combinatorics under-determined")
-    assignment = outcome.assignment
 
-    v = {t.tid: assignment[f"v{t.tid}"] for t in d.tiles}
+    g = {t.tid: field.one / t.aspect for t in d.tiles}
+    potential, conductance = laplacian_potentials(
+        [(*cs.tile_ends[tid], g[tid]) for tid in g],
+        cs.left_boundary, cs.right_boundary, field.one,
+    )
+    x_val = normalization / conductance
+    v = {}
+    for tid, gt in g.items():
+        left, right = cs.tile_ends[tid]
+        v[tid] = (potential[left] - potential[right]) * gt * x_val
     h = {t.tid: t.aspect * v[t.tid] for t in d.tiles}
-    zero = d.field.zero
+    zero = field.zero
     for tid, side in v.items():
         if not side > zero:
             raise SizingError(f"degenerate sizing: tile {tid} gets a nonpositive side")
-    x_val = assignment["x"]
     if d.big_w is not None and d.big_w != x_val:
         raise SizingError(
             f"declared width {format_scalar(d.big_w)} contradicts the solved "
             f"width {format_scalar(x_val)}"
         )
 
-    node_x = _propagate(
-        count=len(cs.v_nodes),
-        start=cs.left_boundary,
-        zero=zero,
-        links=[(cs.tile_ends[tid][0], cs.tile_ends[tid][1], h[tid]) for tid in v],
-        what="vertical node",
-    )
     cut_y = _propagate(
         count=len(cs.h_cuts),
         start=cs.bottom_cut,
@@ -395,7 +404,7 @@ def solve_sizes(d: Dissection) -> SizingResult:
             t.sketch,
             t.aspect,
             (
-                node_x[cs.tile_ends[t.tid][0]],
+                (field.one - potential[cs.tile_ends[t.tid][0]]) * x_val,
                 cut_y[cs.tile_spans[t.tid][0]],
                 h[t.tid],
                 v[t.tid],
@@ -403,7 +412,7 @@ def solve_sizes(d: Dissection) -> SizingResult:
         )
         for t in d.tiles
     )
-    sized = Dissection(d.field, tiles, big_w=x_val, big_h=normalization)
+    sized = Dissection(field, tiles, big_w=x_val, big_h=normalization)
     report = validate_geometric(sized)
     if not report.ok:
         raise SizingError(
@@ -411,7 +420,7 @@ def solve_sizes(d: Dissection) -> SizingResult:
             + "; ".join(report.issues)
         )
     ratio = x_val / normalization
-    return SizingResult(sized, ratio, system, assignment, cs)
+    return SizingResult(sized, ratio, cs)
 
 
 def _propagate(count, start, zero, links, what):

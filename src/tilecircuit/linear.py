@@ -2,28 +2,20 @@
 
 The solver never approximates and never pivots for magnitude.  Systems are
 stored sparsely, one ``column -> nonzero`` dict per row beside a
-``column -> rows`` index, and solved in up to two passes:
+``column -> rows`` index, and solved in one pass that processes the rows in
+input order, each expressing one of its own unknowns (the first in variable
+order that it originally holds and that survives reduction).  So every
+outcome is fully deterministic, and it explicitly distinguishes the three
+possibilities: a unique assignment, a parametric family (free variables
+plus affine expressions for the bound ones), or inconsistency with the
+offending reduced row.
 
-* a fast pass orders pivots by the Markowitz rule (fewest nonzeros in the
-  row, then fewest active rows in the column) and returns only a unique
-  assignment, which does not depend on the pivot order;
-* anything else -- a leftover row 0 = c with c != 0, or fewer pivots than
-  unknowns -- is decided by a reference pass that starts again from the
-  original rows and processes them in input order, each expressing one of
-  its own unknowns (the first in variable order that it originally holds and
-  that survives reduction).
-
-So every outcome is fully deterministic, and the parametric and
-inconsistent ones are exactly those of plain input-order Gauss-Jordan.  The
-outcome explicitly distinguishes the three possibilities: a unique
-assignment, a parametric family (free variables plus affine expressions
-for the bound ones), or inconsistency with the offending reduced row.
-
-Resistor networks have a second, dedicated kernel: one elimination of a
-grounded weighted Laplacian in minimum-degree order, over any of the
-fields.  ``laplacian_potentials`` back-substitutes the node potentials of
-a network driven across two terminals and returns the conductance between
-them; ``laplacian_determinants`` multiplies the same pivots into the two
+Resistor networks, and through them the sizing of dissections, have a
+second, dedicated kernel: one elimination of a grounded weighted Laplacian
+in minimum-degree order, over any of the fields.  ``laplacian_potentials``
+back-substitutes the node potentials of a network driven across two
+terminals and returns the conductance between them;
+``laplacian_determinants`` multiplies the same pivots into the two
 determinants that the matrix-tree theorem needs for a network resistance.
 """
 
@@ -123,31 +115,6 @@ class Inconsistent:
 SolveOutcome = Unique | Parametric | Inconsistent
 
 
-def gauss_jordan(system: LinearSystem) -> SolveOutcome:
-    """Exact elimination: a Markowitz-ordered fast pass, then input order.
-
-    The fast pass decides only ``Unique`` outcomes: every unknown got a
-    pivot and every leftover row reduced to 0 = 0, so the assignment is the
-    system's one solution whatever the pivot order.  Otherwise the reference
-    pass reruns the documented input-order rule on the original rows: each
-    row in turn expresses one of its unknowns -- the first, in variable
-    order, that originally appears in the row and still survives reduction
-    -- and that unknown is eliminated from every other row.  Rows that
-    reduce to 0 = 0 are dropped; a row reducing to 0 = nonzero makes the
-    system inconsistent and is reported by its original index.  Variables no
-    row ever expressed come back as the free variables of a parametric
-    outcome.
-    """
-    solution = _markowitz_solve(
-        [dict(row) for row in system.nonzeros],
-        [b for _, b in system.rows],
-        len(system.variables),
-    )
-    if solution is not None:
-        return Unique(dict(zip(system.variables, solution)))
-    return _input_order_solve(system)
-
-
 def _column_index(rows, nvars: int) -> list[set]:
     """column -> indices of the rows holding a nonzero there."""
     col_rows = [set() for _ in range(nvars)]
@@ -177,58 +144,17 @@ def _eliminate(target: dict, k: int, f, pivot_row: dict, pivot: int, col_rows):
                 col_rows[j].discard(k)
 
 
-def _markowitz_solve(rows: list[dict], rhs: list, nvars: int) -> list | None:
-    """The unique solution by Markowitz-ordered elimination, else None.
+def gauss_jordan(system: LinearSystem) -> SolveOutcome:
+    """Exact input-order Gauss-Jordan elimination on the sparse rows.
 
-    Forward elimination takes the active row with the fewest nonzeros and,
-    in it, the column with the fewest active rows; ties go to the lowest
-    row index, then the lowest column.  Back-substitution follows.  None
-    means some row reduced to 0 = nonzero or some unknown got no pivot.
-    ``rows`` and ``rhs`` are reduced in place.
+    Each row in turn expresses one of its unknowns -- the first, in variable
+    order, that originally appears in the row and still survives reduction
+    -- and that unknown is eliminated from every other row.  Rows that
+    reduce to 0 = 0 are dropped; a row reducing to 0 = nonzero makes the
+    system inconsistent and is reported by its original index.  Variables no
+    row ever expressed come back as the free variables of a parametric
+    outcome.
     """
-    col_rows = _column_index(rows, nvars)
-    heap = [(len(row), i) for i, row in enumerate(rows)]
-    heapq.heapify(heap)
-    done = [False] * len(rows)
-    pivots = []
-    while heap:
-        size, i = heapq.heappop(heap)
-        row = rows[i]
-        if done[i] or size != len(row):
-            continue  # a stale entry; the row's current size is queued too
-        done[i] = True
-        if not row:
-            if rhs[i]:
-                return None
-            continue
-        for j in row:
-            col_rows[j].discard(i)
-        pivot = min(row, key=lambda j: (len(col_rows[j]), j))
-        p = row[pivot]
-        b = rhs[i]
-        for k in list(col_rows[pivot]):
-            target = rows[k]
-            f = target[pivot] / p
-            _eliminate(target, k, f, row, pivot, col_rows)
-            if b:
-                rhs[k] = rhs[k] - f * b
-            heapq.heappush(heap, (len(target), k))
-        pivots.append((i, pivot))
-    if len(pivots) != nvars:
-        return None
-    x = [None] * nvars
-    for i, pivot in reversed(pivots):
-        row = rows[i]
-        total = rhs[i]
-        for j, v in row.items():
-            if j != pivot:
-                total = total - v * x[j]
-        x[pivot] = total / row[pivot]
-    return x
-
-
-def _input_order_solve(system: LinearSystem) -> SolveOutcome:
-    """The reference pass: input-order Gauss-Jordan on the sparse store."""
     variables = system.variables
     nvars = len(variables)
     original = system.nonzeros

@@ -230,6 +230,17 @@ def positive_ratfunc(value: RatFunc) -> bool:
     return bool(value) and min(value.num.coeffs + value.den.coeffs) >= 0
 
 
+RATIONAL = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+def quadratic(d):
+    """Positive a + b*sqrt(d), b of either sign."""
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    return st.builds(lambda a, b: QuadExt(a, b, d), RATIONAL, parts).filter(
+        lambda x: x > 0
+    )
+
+
 _COEFF = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
 _ATOM = st.one_of(_COEFF.map(RatFunc.constant), _COEFF.map(lambda c: RatFunc.t() * c))
 # symbolic resistances: c, c*t and their positive sums, products and quotients

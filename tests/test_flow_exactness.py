@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flow_reference as ref
-from conftest import SYMBOLIC_VALUE, multigraphs, tilings
+from conftest import RATIONAL, SYMBOLIC_VALUE, multigraphs, quadratic, tilings
 from tilecircuit import (
     Battery,
     Netlist,
@@ -29,17 +29,6 @@ from tilecircuit import (
     circuit_of_dissection,
     solve_flow,
 )
-
-RATIONAL = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
-
-
-def quadratic(d):
-    """Positive a + b*sqrt(d), b of either sign."""
-    parts = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-    return st.builds(lambda a, b: QuadExt(a, b, d), RATIONAL, parts).filter(
-        lambda x: x > 0
-    )
-
 
 FIELDS = {
     "Q": (RATIONAL, Fraction(0)),

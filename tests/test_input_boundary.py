@@ -2,14 +2,17 @@
 
 The command line maps ``InputError`` to exit 2, so any other exception that
 escapes a parser would reach the user as a traceback or a wrong exit code.
-The same near-valid netlist files also go through ``cli.run`` end to end.
+The same near-valid netlist, dissection and ladder files also go through
+``cli.run`` end to end, into every command that reads them.
 """
 
 import contextlib
 import copy
 import io
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -85,19 +88,31 @@ def _paths(obj, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 @st.composite
-def near(draw, valid, replacement):
-    """A deep copy of ``valid`` with one to three parts replaced or deleted."""
+def near(draw, valid, replacement, leaves=False):
+    """A deep copy of ``valid`` with one to three parts replaced or deleted;
+    with ``leaves``, only parts that are neither lists nor objects.
+    ``replacement`` is a strategy, or a function from the replaced part to
+    one."""
     obj = copy.deepcopy(valid)
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(obj))))
-        value = draw(replacement)
+        paths = [path for path in _paths(obj) if not leaves or not isinstance(
+            _at(obj, path), (dict, list))]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        value = draw(replacement(_at(obj, path)) if callable(replacement)
+                     else replacement)
         if not path:
             obj = value if value is not DELETE else {}
             continue
-        parent = obj
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _at(obj, path[:-1])
         if value is DELETE:
             del parent[path[-1]]
         else:
@@ -141,6 +156,17 @@ BRIDGE_TOKEN = st.one_of(st.just(DELETE), POSITIVE, st.sampled_from(
      "1 + sqrt(2)", "R", "V", "N"]))
 
 
+def assert_clean_exit(argv):
+    """Exit 0, 1 or 2 with no traceback, within the CPU bound."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.process_time() - start < CLI_CPU_SECONDS
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(NETLIST, near(VALID_BRIDGE, BRIDGE_TOKEN).map(netlist_text)))
 def test_resistance_command_boundary(tmp_path, text):
@@ -148,13 +174,7 @@ def test_resistance_command_boundary(tmp_path, text):
     path = tmp_path / "net.txt"
     path.write_text(text, encoding="utf-8")
     for argv in (["resistance", str(path)], ["resistance", str(path), "--symbolic"]):
-        out, err = io.StringIO(), io.StringIO()
-        start = time.process_time()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert time.process_time() - start < CLI_CPU_SECONDS
-        assert code in (0, 1, 2)
-        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert_clean_exit(argv)
 
 
 VALID_DISSECTION = {
@@ -177,6 +197,97 @@ def test_dissection_from_json_boundary(obj):
     d = value_or_input_error(dissection_from_json, obj)
     if d is not None:
         assert all(len(t.sketch) == 4 and len(t.rect or "four") == 4 for t in d.tiles)
+
+
+DATA = Path(__file__).parent / "data"
+# sketches only, so that the commands size them: the pinwheel, a bridge whose
+# mutated aspects can make a side negative, and a square of five tiles of
+# ratio R and 1/R over Q(sqrt 3), which theorem1 accepts
+VALID_SKETCHES = [
+    {"field": {"kind": "rational"}, "big": {"w": None, "h": None},
+     "tiles": [{"id": tid, "sketch": sketch, "aspect": aspect}
+               for tid, sketch, aspect in ((1, [0, 1, 2, 2], "1"), (2, [2, 1, 1, 1], "1"),
+                                           (3, [3, 0, 2, 2], "1"), (4, [2, 2, 3, 1], "3"),
+                                           (5, [0, 0, 3, 1], "3"))]},
+    json.loads((DATA / "five_similar.json").read_text(encoding="utf-8")),
+]
+SKETCH_SCALAR = st.one_of(
+    POSITIVE, st.integers(0, 5).map(str),
+    st.sampled_from(["0", "-1", "sqrt(3)", "1 + sqrt(3)", "3/2 - 1/2*sqrt(3)"]),
+)
+
+
+def part_like(scalars, anything):
+    """Replacements that are mostly of the replaced part's type, so that most
+    mutants parse, and otherwise drawn from ``anything``."""
+    def replacement(old):
+        if isinstance(old, str):
+            same = scalars
+        elif isinstance(old, (int, float)):
+            same = st.one_of(st.integers(0, 5), st.floats(0, 5))
+        else:
+            same = st.none()
+        return st.one_of(same, st.just(DELETE), anything)
+    return replacement
+
+
+def near_except_field(valid, replacement):
+    """Leaf mutants of ``valid`` with its field kept, so that most parse and
+    reach the solvers."""
+    rest = {key: value for key, value in valid.items() if key != "field"}
+    return near(rest, replacement, leaves=True).map(
+        lambda obj: {"field": valid["field"], **obj})
+
+
+DISSECTION_COMMANDS = (
+    ["solve", "{file}", "--out", "{tmp}/sized.json"],
+    ["equiv-check", "{file}"],
+    ["theorem1", "{file}"],
+    ["to-circuit", "{file}", "--out", "{tmp}/net.txt"],
+    ["render", "{file}", "-o", "{tmp}/out.svg"],
+)
+
+
+def run_commands(commands, tmp_path, obj, as_json):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for command in commands:
+        argv = [arg.format(file=path, tmp=tmp_path) for arg in command]
+        assert_clean_exit(["--json", *argv] if as_json else argv)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.sampled_from([VALID_DISSECTION, *VALID_SKETCHES]).flatmap(
+        lambda valid: near_except_field(valid, part_like(SKETCH_SCALAR, JSON))),
+    DISSECTION,
+), st.booleans())
+def test_dissection_commands_boundary(tmp_path, obj, as_json):
+    run_commands(DISSECTION_COMMANDS, tmp_path, obj, as_json)
+
+
+VALID_LADDER = json.loads((DATA / "ladder_sqrt3.json").read_text(encoding="utf-8"))
+# A valid ladder with coefficient p/q builds a q-by-p grid, and no bound on
+# the tile count exists yet, so mutants keep to one-digit coefficients.
+DIGIT_SCALAR = st.from_regex(r"-?[0-9](/[0-9])?", fullmatch=True)
+LADDER_SCALAR = st.one_of(DIGIT_SCALAR, st.sampled_from(
+    ["sqrt(3)", "1 + sqrt(3)", "3/2 - 1/2*sqrt(3)", "1/2*sqrt(3)"]))
+LADDER_PART = st.one_of(
+    LADDER_SCALAR,
+    st.sampled_from(["t", "", "rational", "quadratic", 2, 3, 5, 0.5, None, {}, []]),
+    st.lists(DIGIT_SCALAR, max_size=4), st.just(DELETE),
+)
+LADDER_COMMANDS = (["lfs", "eval-cf", "{file}"],
+                   ["lfs", "build", "{file}", "--out", "{tmp}/built.json"])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(near_except_field(VALID_LADDER, part_like(LADDER_SCALAR, LADDER_PART)),
+                 near(VALID_LADDER, LADDER_PART)), st.booleans())
+def test_ladder_commands_boundary(tmp_path, obj, as_json):
+    run_commands(LADDER_COMMANDS, tmp_path, obj, as_json)
 
 
 def _scan_has_rational_root(coeffs):
