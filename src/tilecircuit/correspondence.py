@@ -7,8 +7,9 @@ big rectangle's horizontal side.  Under this dictionary the junction
 conditions and the Kirchhoff equations are the same system: tile vertical
 sides are edge currents, the big vertical side is the battery current, and
 a vertical cut at x has potential U - x.  ``certify_equivalence`` checks
-all of that exactly on a concrete dissection: the flow must solve the
-junction system, and the sizes must obey the network's local laws.
+all of that exactly on a concrete dissection: the sizes must solve the
+junction system and obey the network's local laws, which makes them the
+flow, so the flow is solved only to name a mismatch.
 
 The same bridge powers two algebraic constructions for square dissections
 into rectangles of ratio R and 1/R:
@@ -80,17 +81,21 @@ def _node_names(cs: CutStructure) -> dict[int, str]:
 
 
 def circuit_of_dissection(d: Dissection, cuts: CutStructure | None = None) -> Netlist:
-    """Build the network of a dissection (sizing it first if needed).
+    """Build the network of a dissection, sizing it first unless it is sized.
 
     Terminals are the vertical cut segments; tile k becomes resistor k with
     resistance equal to its aspect ratio, oriented left terminal to right
     terminal; the battery spans the outer sides with voltage equal to the
-    big horizontal side, positive pole on the left.
+    big horizontal side, positive pole on the left.  A sized dissection
+    given without its ``cuts`` must pass geometric validation.
     """
-    if d.big_w is None:
-        d = solve_sizes(d).sized
-    cs = cuts if cuts is not None else extract_cuts(d)
-    return _network(d.tiles, cs, lambda t: t.aspect, d.big_w)
+    if not d.is_sized:
+        sizing = solve_sizes(d)
+        d, cuts = sizing.sized, sizing.cuts
+    elif cuts is None:
+        validate_geometric(d).require()
+        cuts = extract_cuts(d)
+    return _network(d.tiles, cuts, lambda t: t.aspect, d.big_w)
 
 
 def _network(tiles, cs: CutStructure, value, voltage) -> Netlist:
@@ -160,34 +165,26 @@ class EquivalenceReport:
 def certify_equivalence(d: Dissection) -> EquivalenceReport:
     """Check, exactly, that sizing the tiles and solving the flow coincide.
 
-    Each answer must satisfy the other's equations: the flow's currents
-    solve the junction system, and the sizes obey the network's local laws.
+    The sizes must solve the junction system, with x = U, and obey the
+    network's local laws.  The grounded Laplacian is nonsingular, so then
+    they are the flow: heights are currents, ``big_h`` the battery current,
+    U / ``big_h`` the resistance.  The flow is solved only to name a mismatch.
     """
     sizing = solve_sizes(d)
-    net = circuit_of_dissection(sizing.sized, sizing.cuts)
-    flow = solve_flow(net)
-
-    vertical = sizing.sized.big_h
-    tiles = tuple(
-        TileCurrent(t.tid, t.rect[3], flow.edge_current[t.tid])
-        for t in sizing.sized.tiles
-    )
-
-    as_sides = {f"v{t.tid}": flow.edge_current[t.tid] for t in sizing.sized.tiles}
-    as_sides["x"] = net.battery.voltage
-    system = junction_system(sizing.cuts, sizing.sized.tiles, sizing.sized.field, vertical)
-    agree = _obeys_circuit_laws(net, sizing.sized) and substitute_and_verify(
-        system, Unique(as_sides)
-    )
-
-    return EquivalenceReport(
-        tiles,
-        flow.battery_current,
-        vertical,
-        flow.total_resistance,
-        sizing.ratio,
-        agree,
-    )
+    sized = sizing.sized
+    net = circuit_of_dissection(sized, sizing.cuts)
+    u, heights = net.battery.voltage, {t.tid: t.rect[3] for t in sized.tiles}
+    system = junction_system(sizing.cuts, sized.tiles, sized.field, sized.big_h)
+    sides = Unique({**{f"v{tid}": h for tid, h in heights.items()}, "x": u})
+    agree = _obeys_circuit_laws(net, sized) and substitute_and_verify(system, sides)
+    if agree:
+        currents, battery, resistance = heights, sized.big_h, u / sized.big_h
+    else:
+        flow = solve_flow(net)
+        currents, battery, resistance = (
+            flow.edge_current, flow.battery_current, flow.total_resistance)
+    tiles = tuple(TileCurrent(tid, h, currents[tid]) for tid, h in heights.items())
+    return EquivalenceReport(tiles, battery, sized.big_h, resistance, sizing.ratio, agree)
 
 
 def _obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
@@ -307,6 +304,9 @@ def infer_ratio(d: Dissection):
 # --- ladder continued fractions and their dissections -----------------------
 
 
+MAX_LADDER_TILES = 10_000  # coefficient p/q builds a q-by-p grid of tiles
+
+
 class LadderError(Exception):
     """A ladder specification is malformed or does not evaluate to 1."""
 
@@ -367,8 +367,11 @@ def ladder_dissection(spec: LadderSpec) -> Dissection:
     rectangle and fills it with a q-by-p grid of correctly oriented tiles;
     the remainder has aspect 1/T_{k+1} and is processed with orientations
     transposed.  Validity of the ladder (all tails positive, value exactly
-    1) guarantees the construction closes up exactly.
+    1) guarantees the construction closes up exactly.  A ladder of more
+    than ``MAX_LADDER_TILES`` tiles is refused before anything is built.
     """
+    if sum(c.numerator * c.denominator for c in spec.coefficients) > MAX_LADDER_TILES:
+        raise _MalformedLadder(f"ladder would build more than {MAX_LADDER_TILES} tiles")
     tails = ladder_tails(spec)
     one = one_like(spec.ratio)
     zero = zero_like(spec.ratio)
@@ -426,11 +429,7 @@ def ladder_dissection(spec: LadderSpec) -> Dissection:
 
     fill(zero, zero, one, one, 0, False)
     d = Dissection(spec.field, tiles, big_w=one, big_h=one)
-    report = validate_geometric(d)
-    if not report.ok:
-        raise LadderError(
-            "ladder construction failed validation: " + "; ".join(report.issues)
-        )
+    validate_geometric(d).require(LadderError, "ladder construction failed validation")
     return d
 
 

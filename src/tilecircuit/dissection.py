@@ -355,8 +355,8 @@ def solve_sizes(d: Dissection) -> SizingResult:
     on the right, the network conducts G, so scaling by U = big_h / G makes
     the big horizontal side U, node x-coordinates (1 - V) * U and tile
     heights the currents.  Cut y-coordinates are propagated from the
-    bottom, and the result is geometrically validated.  Four tiles meeting at a point,
-    nonpositive sides, and a contradicted declared width raise
+    bottom, and the result is geometrically validated.  Four tiles meeting
+    at a point, nonpositive sides, and a contradicted declared width raise
     ``SizingError``.
     """
     cs = extract_cuts(d)
@@ -413,12 +413,9 @@ def solve_sizes(d: Dissection) -> SizingResult:
         for t in d.tiles
     )
     sized = Dissection(field, tiles, big_w=x_val, big_h=normalization)
-    report = validate_geometric(sized)
-    if not report.ok:
-        raise SizingError(
-            "solved sides do not assemble into an exact tiling: "
-            + "; ".join(report.issues)
-        )
+    validate_geometric(sized).require(
+        SizingError, "solved sides do not assemble into an exact tiling"
+    )
     ratio = x_val / normalization
     return SizingResult(sized, ratio, cs)
 
@@ -450,6 +447,11 @@ def _propagate(count, start, zero, links, what):
 class ValidationReport:
     ok: bool
     issues: tuple[str, ...] = ()
+
+    def require(self, error=DissectionError, what="dissection fails geometric validation"):
+        """Raise ``error("what: issue; issue")`` unless the tiling is valid."""
+        if not self.ok:
+            raise error(f"{what}: " + "; ".join(self.issues))
 
 
 def validate_geometric(d: Dissection) -> ValidationReport:
@@ -531,10 +533,7 @@ def dehn_check(d: Dissection) -> DehnReport:
     Confirms every tile is an exact square and reports whether the big
     rectangle's horizontal/vertical ratio is rational.
     """
-    report = validate_geometric(d)
-    if not report.ok:
-        raise DissectionError("dissection fails geometric validation: "
-                              + "; ".join(report.issues))
+    validate_geometric(d).require()
     non_square = tuple(t.tid for t in d.tiles if t.rect[2] != t.rect[3])
     ratio = d.big_w / d.big_h
     rational = not isinstance(ratio, QuadExt) or ratio.is_rational

@@ -1,5 +1,6 @@
 """Shared fixture corpus and independent oracles for the test suite."""
 
+import contextlib
 import operator
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from tilecircuit import linear
 from tilecircuit import (
     Battery,
     Dissection,
@@ -224,6 +226,21 @@ def tilings():
         load_ladder((DATA / "ladder_sqrt3.json").read_text())
     )
     return tilings
+
+
+@contextlib.contextmanager
+def counted_eliminations():
+    """The calls of the Laplacian elimination kernel made inside the block."""
+    calls = []
+    original = linear._eliminate_laplacian
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linear, "_eliminate_laplacian", counted)
+        yield calls
 
 
 def positive_ratfunc(value: RatFunc) -> bool:

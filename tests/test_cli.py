@@ -138,6 +138,19 @@ def test_lfs_eval_cf(capsys):
     assert "= 1" in out
 
 
+def test_lfs_build_refuses_a_ladder_of_a_million_tiles(tmp_path, capsys):
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text('{"field":{"kind":"rational"},"R":"1/1000000","c":["1000000"]}')
+    built = tmp_path / "built.json"
+    start = time.process_time()
+    code, out, err = invoke(capsys, "lfs", "build", str(ladder), "--out", str(built))
+    assert time.process_time() - start < 0.5
+    assert (code, out, err) == (2, "", "error: ladder would build more than 10000 tiles\n")
+    assert not built.exists()
+    code, out, _ = invoke(capsys, "lfs", "eval-cf", str(ladder))
+    assert (code, out) == (0, "continued fraction = 1\n")
+
+
 def test_lfs_build_then_solve(tmp_path, capsys):
     built = tmp_path / "built.json"
     code, _, _ = invoke(capsys, "lfs", "build", str(DATA / "ladder_sqrt3.json"),
@@ -188,6 +201,47 @@ def _tile(**overrides):
     tile = {"id": 1, "sketch": [0, 0, 1, 1], "aspect": "1", "rect": ["0", "0", "1", "1"]}
     tile.update(overrides)
     return _dissection(tiles=[tile])
+
+
+def _squares(cells, rects=False, **big):
+    """Unit squares at the given (x, y) cells, with the big sides ``big``."""
+    tiles = [{"id": tid, "sketch": [x, y, 1, 1], "aspect": "1",
+              "rect": [str(x), str(y), "1", "1"] if rects else None}
+             for tid, (x, y) in enumerate(cells, 1)]
+    return _dissection(big={"w": None, "h": None, **big}, tiles=tiles)
+
+
+# to-circuit sizes every dissection that is not sized, and refuses a sized
+# one that is no tiling, as the command named with each file does
+UNTRUSTED_WIDTHS = {
+    "two squares declaring width 7": (
+        _squares([(0, 0), (1, 0)], w="7"), "solve",
+        "error: declared width 7 contradicts the solved width 2\n"),
+    "a 2x2 grid declaring its width": (
+        _squares([(0, 0), (1, 0), (0, 1), (1, 1)], w="2"), "solve",
+        "error: combinatorics under-determined\n"),
+    "a sized file that is no tiling": (
+        _squares([(0, 0), (1, 0)], rects=True, w="5", h="1"), "dehn-check",
+        "error: dissection fails geometric validation: "
+        "tile areas do not sum to the big rectangle's area\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTRUSTED_WIDTHS))
+def test_to_circuit_trusts_no_declared_width(name, tmp_path, capsys):
+    content, command, message = UNTRUSTED_WIDTHS[name]
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert invoke(capsys, "to-circuit", str(path)) == (1, "", message)
+    assert invoke(capsys, command, str(path)) == (1, "", message)
+
+
+def test_to_circuit_of_a_sized_tiling(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(_squares([(0, 0), (1, 0)], rects=True, w="2", h="1"))
+    code, out, _ = invoke(capsys, "to-circuit", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "V L R 2"
 
 
 # (argv, file name -> content, expected exit code); "{file}" in argv is the

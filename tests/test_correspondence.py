@@ -7,18 +7,21 @@ import pytest
 
 from conftest import (
     corpus,
+    counted_eliminations,
     golden_ratio_like,
     make_five_similar,
     make_pinwheel,
     make_shelf,
     make_two_columns,
     make_two_rows,
+    tilings,
 )
 from tilecircuit import (
     Battery,
     CorrespondenceError,
     Dissection,
     FieldSpec,
+    InputError,
     LadderError,
     LadderSpec,
     Netlist,
@@ -203,6 +206,31 @@ def test_certificate_refuses_heights_that_break_ohms_law(monkeypatch):
         "tile 2: side 7/30 != current 1/3",
         DISAGREE,
     )
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda s: shifted(s, 7, 3, Fraction(1, 32)),
+    lambda s: shifted(s, 7, 0, Fraction(1, 32)),
+    lambda s: dataclasses.replace(s, big_h=s.big_h * 2),
+], ids=["height", "position", "big height"])
+def test_a_refused_certificate_solves_the_flow_to_name_the_mismatch(monkeypatch, corrupt):
+    with counted_eliminations() as calls:
+        report = certify_corrupted(monkeypatch, make_shelf(), corrupt)
+    assert not report.ok
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, d", sorted(tilings().items()))
+def test_certified_sizes_are_the_flow(name, d):
+    """The report reads the currents off the heights; they are the currents
+    the flow solve gives, of the same type."""
+    report = certify_equivalence(d)
+    sizing = solve_sizes(d)
+    flow = solve_flow(circuit_of_dissection(sizing.sized, sizing.cuts))
+    pairs = [(t.current, flow.edge_current[t.tile]) for t in report.tiles]
+    pairs += [(report.battery_current, flow.battery_current),
+              (report.resistance, flow.total_resistance)]
+    assert [(a, type(a)) for a, _ in pairs] == [(b, type(b)) for _, b in pairs]
 
 
 def test_smith_duality_resistance_equals_ratio():
@@ -402,6 +430,17 @@ def test_ladder_rejects_wrong_value():
     spec = LadderSpec(field, Fraction(2), (Fraction(1, 4),))
     with pytest.raises(LadderError):
         ladder_dissection(spec)
+
+
+def test_ladder_tile_bound(monkeypatch):
+    spec = LadderSpec(FieldSpec.quadratic(3), golden_ratio_like(),
+                      (Fraction(1, 3), Fraction(2)))
+    monkeypatch.setattr(correspondence, "MAX_LADDER_TILES", 5)
+    assert len(ladder_dissection(spec).tiles) == 5
+    monkeypatch.setattr(correspondence, "MAX_LADDER_TILES", 4)
+    with pytest.raises(LadderError, match="^ladder would build more than 4 tiles$") as info:
+        ladder_dissection(spec)
+    assert isinstance(info.value, InputError)
 
 
 def test_ladder_json_round_trip():

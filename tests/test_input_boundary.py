@@ -268,15 +268,14 @@ def test_dissection_commands_boundary(tmp_path, obj, as_json):
 
 
 VALID_LADDER = json.loads((DATA / "ladder_sqrt3.json").read_text(encoding="utf-8"))
-# A valid ladder with coefficient p/q builds a q-by-p grid, and no bound on
-# the tile count exists yet, so mutants keep to one-digit coefficients.
-DIGIT_SCALAR = st.from_regex(r"-?[0-9](/[0-9])?", fullmatch=True)
-LADDER_SCALAR = st.one_of(DIGIT_SCALAR, st.sampled_from(
-    ["sqrt(3)", "1 + sqrt(3)", "3/2 - 1/2*sqrt(3)", "1/2*sqrt(3)"]))
+# R = 1/1000000 with c = [1000000] is a valid ladder of a million tiles
+LADDER_SCALAR = st.one_of(NUMERAL, st.sampled_from(
+    ["sqrt(3)", "1 + sqrt(3)", "3/2 - 1/2*sqrt(3)", "1/2*sqrt(3)",
+     "1000000", "1/1000000"]))
 LADDER_PART = st.one_of(
     LADDER_SCALAR,
     st.sampled_from(["t", "", "rational", "quadratic", 2, 3, 5, 0.5, None, {}, []]),
-    st.lists(DIGIT_SCALAR, max_size=4), st.just(DELETE),
+    st.lists(NUMERAL, max_size=4), st.just(DELETE),
 )
 LADDER_COMMANDS = (["lfs", "eval-cf", "{file}"],
                    ["lfs", "build", "{file}", "--out", "{tmp}/built.json"])

@@ -13,24 +13,26 @@ right, wrong or nonpositive.
 
 The Euler count that replaces the elimination's verdict is checked
 against ``gauss_jordan`` on the same sketches, and no sizing or
-certificate may run ``gauss_jordan`` at all.
+certificate may run ``gauss_jordan`` at all.  A certificate runs the
+Laplacian elimination once, for the sizing, and never again for the flow.
 """
 
 import dataclasses
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sizing_reference as ref
 import tilecircuit.dissection
-from conftest import RATIONAL, quadratic, tilings
+from conftest import RATIONAL, counted_eliminations, quadratic, tilings
 from tilecircuit import (
     Dissection,
     DissectionError,
     FieldSpec,
     Inconsistent,
     Parametric,
+    SizingError,
     Tile,
     certify_equivalence,
     extract_cuts,
@@ -264,3 +266,32 @@ def test_sizing_and_certificates_call_no_gauss_jordan(name, d, gauss_jordan_call
     cs = extract_cuts(d)
     tilecircuit.dissection.gauss_jordan(junction_system(cs, d.tiles, d.field))
     assert len(gauss_jordan_calls) == 1
+
+
+# --- one Laplacian elimination per certificate --------------------------------
+
+
+@pytest.mark.parametrize("name, d", sorted(tilings().items()))
+def test_one_laplacian_elimination_per_certificate(name, d):
+    with counted_eliminations() as calls:
+        assert certify_equivalence(d).ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_laplacian_elimination_per_wall_certificate(field, data):
+    """Brick walls with their true aspects; joints that line up across rows
+    make a four-tile point, which the sizing refuses before eliminating."""
+    spec, values = FIELDS[field]
+    rects = data.draw(walls(values))
+    d = Dissection(spec, [Tile(tid, tuple(float(c) for c in rect), rect[2] / rect[3])
+                          for tid, rect in enumerate(rects, 1)])
+    try:
+        solve_sizes(d)
+    except SizingError:
+        assume(False)
+    with counted_eliminations() as calls:
+        assert certify_equivalence(d).ok
+    assert len(calls) == 1
