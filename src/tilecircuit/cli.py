@@ -240,7 +240,9 @@ def _cmd_lfs_build(args, out: _Output) -> int:
 
 def _cmd_render(args, out: _Output) -> int:
     d = load_dissection(_read(args.dissection))
-    if not d.is_sized:
+    if d.is_sized:
+        validate_geometric(d).require()
+    else:
         d = solve_sizes(d).sized
     svg = render_svg(d)
     _write(args.output, svg)

@@ -46,6 +46,7 @@ from .circuit import (
 from .dissection import (
     CutStructure,
     Dissection,
+    DissectionError,
     Tile,
     extract_cuts,
     junction_system,
@@ -87,14 +88,20 @@ def circuit_of_dissection(d: Dissection, cuts: CutStructure | None = None) -> Ne
     resistance equal to its aspect ratio, oriented left terminal to right
     terminal; the battery spans the outer sides with voltage equal to the
     big horizontal side, positive pole on the left.  A sized dissection
-    given without its ``cuts`` must pass geometric validation.
+    given without its ``cuts`` must pass geometric validation, and its
+    rects must obey the laws of the network read off its sketch.
     """
     if not d.is_sized:
         sizing = solve_sizes(d)
         d, cuts = sizing.sized, sizing.cuts
     elif cuts is None:
         validate_geometric(d).require()
-        cuts = extract_cuts(d)
+        net = _network(d.tiles, extract_cuts(d), lambda t: t.aspect, d.big_w)
+        if not _obeys_circuit_laws(net, d):
+            raise DissectionError(
+                "the sketch contradicts the rects: its cuts do not carry the exact sizes"
+            )
+        return net
     return _network(d.tiles, cuts, lambda t: t.aspect, d.big_w)
 
 

@@ -209,7 +209,9 @@ def extract_cuts(d: Dissection) -> CutStructure:
     Vertical nodes are the maximal connected vertical segments of the union
     of tile vertical edges (plus the big rectangle's sides); horizontal cuts
     are the same thing sideways.  Ordering is by coordinate, so the result
-    is deterministic.
+    is deterministic.  Each x-strip must be covered exactly once; one sweep
+    over the strips checks that in time linear in the tiles and classes,
+    and the first faulty strip names its first gap or overlap.
     """
     tiles = d.tiles
     if not tiles:
@@ -239,8 +241,22 @@ def extract_cuts(d: Dissection) -> CutStructure:
             raise DissectionError(f"tile {t.tid} collapses at sketch tolerance")
         snapped[t.tid] = (ix0, ix1, iy0, iy1)
 
-    # every x-strip between consecutive classes must be covered exactly once
+    # Spans rise, so a strip's spans chain from class 0 to the top exactly
+    # when each class starts as many spans as end there, one more at 0 and
+    # one fewer at the top.  The sweep carries that balance across strips.
+    balance = [-1] + [0] * (len(ys) - 2) + [1]  # spans starting - ending - wanted
+    faults = 2
+    changes = [[] for _ in xs]
+    for ix0, ix1, iy0, iy1 in snapped.values():
+        changes[ix0] += ((iy0, 1), (iy1, -1))
+        changes[ix1] += ((iy0, -1), (iy1, 1))
     for sx in range(len(xs) - 1):
+        for c, step in changes[sx]:
+            faults -= balance[c] != 0
+            balance[c] += step
+            faults += balance[c] != 0
+        if not faults:
+            continue
         spans = sorted(
             (iy0, iy1, tid)
             for tid, (ix0, ix1, iy0, iy1) in snapped.items()
@@ -255,8 +271,7 @@ def extract_cuts(d: Dissection) -> CutStructure:
             if lo < cursor:
                 raise DissectionError(f"sketch overlap at tile {tid}")
             cursor = hi
-        if cursor != len(ys) - 1:
-            raise DissectionError(f"sketch gap near x={xs[sx]:.6g} (top)")
+        raise DissectionError(f"sketch gap near x={xs[sx]:.6g} (top)")
 
     v_nodes, node_ids, tile_ends = _segments(
         snapped, len(xs), len(ys) - 1, "vertical node at x class"
@@ -300,7 +315,8 @@ def junction_system(
     (1 by default).  Equations: the left-boundary balance, one balance per
     interior vertical node, the top-edge equation x = sum of horizontal
     sides, and one balance per interior horizontal cut, every horizontal
-    side entering as aspect * vertical side.
+    side entering as aspect * vertical side.  Rows are built sparse, so the
+    system costs O(tiles + cuts) until its dense ``rows`` view is read.
     """
     one = field.one
     zero = field.zero
@@ -315,11 +331,11 @@ def junction_system(
 
     def balance(plus, minus, weight, rhs=zero):
         """Append sum of weight over plus tiles - sum over minus tiles = rhs."""
-        coeffs = [zero] * len(variables)
+        coeffs = {}
         for tid in plus:
-            coeffs[column[tid]] = coeffs[column[tid]] + weight[tid]
+            coeffs[column[tid]] = coeffs.get(column[tid], zero) + weight[tid]
         for tid in minus:
-            coeffs[column[tid]] = coeffs[column[tid]] - weight[tid]
+            coeffs[column[tid]] = coeffs.get(column[tid], zero) - weight[tid]
         rows.append((coeffs, rhs))
         return coeffs
 
@@ -330,13 +346,13 @@ def junction_system(
             balance(node.left_tiles, node.right_tiles, unit)
 
     top = balance((), cs.h_cuts[cs.top_cut].below_tiles, aspect)
-    top[-1] = one  # the x column
+    top[len(order)] = one  # the x column
     boundary_cuts = {cs.bottom_cut, cs.top_cut}
     for cut in cs.h_cuts:
         if cut.cid not in boundary_cuts:
             balance(cut.above_tiles, cut.below_tiles, aspect)
 
-    return LinearSystem(variables, tuple(rows))
+    return LinearSystem.from_sparse(variables, rows, zero)
 
 
 @dataclass(frozen=True)
@@ -458,7 +474,10 @@ def validate_geometric(d: Dissection) -> ValidationReport:
     """Certify that the exact rectangles tile the big rectangle.
 
     Exact containment of every tile, pairwise disjoint interiors, and the
-    area identity together guarantee an exact tiling.
+    area identity together guarantee an exact tiling.  Every coordinate (0,
+    the big sides, each tile edge) is replaced by its rank on its axis.
+    Ranks keep strict order exactly, so only the aspect and area checks run
+    in the field; size, containment and overlap tests compare ints.
     """
     if not d.is_sized:
         raise DissectionError("validate_geometric needs exact rectangles and big sides")
@@ -466,51 +485,67 @@ def validate_geometric(d: Dissection) -> ValidationReport:
     zero = d.field.zero
     area = zero
     tiles = d.tiles
-    for t in tiles:
-        x, y, w, h = t.rect
-        if not (w > zero and h > zero):
+    rects = [t.rect for t in tiles]
+    xs = _ranks([zero, d.big_w] + [v for x, _, w, _ in rects for v in (x, x + w)])
+    ys = _ranks([zero, d.big_h] + [v for _, y, _, h in rects for v in (y, y + h)])
+    boxes = [(xs[k], xs[k + 1], ys[k], ys[k + 1]) for k in range(2, len(xs), 2)]
+    for t, (_, _, w, h), (x0, x1, y0, y1) in zip(tiles, rects, boxes):
+        if not (x0 < x1 and y0 < y1):
             issues.append(f"tile {t.tid} has nonpositive size")
             continue
         if w != t.aspect * h:
             issues.append(f"tile {t.tid} violates its aspect ratio")
-        if x < zero or y < zero or x + w > d.big_w or y + h > d.big_h:
+        if x0 < xs[0] or y0 < ys[0] or x1 > xs[1] or y1 > ys[1]:
             issues.append(f"tile {t.tid} leaves the big rectangle")
         area = area + w * h
-    for i, j in _overlapping_pairs([t.rect for t in tiles], zero):
+    for i, j in _overlapping_pairs(boxes):
         issues.append(f"tiles {tiles[i].tid} and {tiles[j].tid} overlap")
     if area != d.big_w * d.big_h:
         issues.append("tile areas do not sum to the big rectangle's area")
     return ValidationReport(not issues, tuple(issues))
 
 
-def _overlapping_pairs(rects, zero) -> list[tuple[int, int]]:
-    """Sorted position pairs i < j of rectangles with overlapping interiors.
+def _ranks(values) -> list[int]:
+    """Each value's rank among the distinct values, by one sort."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    for prev, k in zip(order, order[1:]):
+        ranks[k] = ranks[prev] + (values[prev] < values[k])
+    return ranks
 
-    Rectangles of positive size are swept in order of their left edge, and
-    only those whose x-intervals overlap get the y test.  A rectangle with a
-    nonpositive side (already an issue of its own) is tested against every
-    other one, so the pairs are exactly those of the all-pairs test.
+
+def _overlapping_pairs(boxes) -> list[tuple[int, int]]:
+    """Sorted position pairs i < j of int boxes (x0, x1, y0, y1) with
+    overlapping interiors, exactly those of the all-pairs test.
+
+    Positive boxes are swept along x, leaving before others join at the same
+    x; the active ones are kept sorted by y0.  A joining box is tested
+    against those starting below its top, downwards.  While no overlap is
+    known they are disjoint, so the test stops at the first that ends at or
+    below its bottom.  A box with a nonpositive side (already an issue of
+    its own) is tested against every other one.
     """
-    boxes = [(x, x + w, y, y + h) for x, y, w, h in rects]
-
-    def overlap(a, b):
-        xa, xa_end, ya, ya_end = boxes[a]
-        xb, xb_end, yb, yb_end = boxes[b]
-        return xa < xb_end and xb < xa_end and ya < yb_end and yb < ya_end
-
-    positive = {k for k, (_, _, w, h) in enumerate(rects) if w > zero and h > zero}
-    swept = sorted(positive, key=lambda k: boxes[k][0])
+    positive = [k for k, (x0, x1, y0, y1) in enumerate(boxes) if x0 < x1 and y0 < y1]
+    events = sorted([(boxes[k][1], 0, k) for k in positive]
+                    + [(boxes[k][0], 1, k) for k in positive])
+    active: list[tuple[int, int]] = []  # (y0, position), sorted
     pairs = set()
-    for n, a in enumerate(swept):
-        xa_end = boxes[a][1]
-        for b in swept[n + 1:]:
-            if not boxes[b][0] < xa_end:
-                break
-            if overlap(a, b):
+    for _, joins, b in events:
+        _, _, yb, yb_end = boxes[b]
+        if not joins:
+            del active[bisect.bisect_left(active, (yb, b))]
+            continue
+        for n in range(bisect.bisect_left(active, (yb_end, -1)) - 1, -1, -1):
+            a = active[n][1]
+            if boxes[a][3] > yb:
                 pairs.add((min(a, b), max(a, b)))
-    for a in set(range(len(rects))) - positive:
-        for b in range(len(rects)):
-            if b != a and overlap(a, b):
+            elif not pairs:
+                break
+        bisect.insort(active, (yb, b))
+    for a in set(range(len(boxes))) - set(positive):
+        xa, xa_end, ya, ya_end = boxes[a]
+        for b, (xb, xb_end, yb, yb_end) in enumerate(boxes):
+            if b != a and xa < xb_end and xb < xa_end and ya < yb_end and yb < ya_end:
                 pairs.add((min(a, b), max(a, b)))
     return sorted(pairs)
 

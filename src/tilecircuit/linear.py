@@ -28,32 +28,53 @@ from fractions import Fraction
 from .fields import RatFunc, zero_like
 
 
-@dataclass(frozen=True)
 class LinearSystem:
     """Rows of (coefficient vector, right-hand side) over a common field.
 
-    ``nonzeros`` holds each row's nonzero coefficients as a
-    ``column -> coefficient`` dict, computed once; the solver and the
-    substitution check read only these.
+    ``nonzeros`` holds each row's nonzero coefficients as a ``column ->
+    coefficient`` dict and ``rhs`` the right-hand sides; the solver and the
+    substitution check read only these.  ``from_sparse`` takes such dicts
+    and builds the dense ``rows`` view only when it is read.
     """
 
-    variables: tuple[str, ...]
-    rows: tuple[tuple[tuple, object], ...]
-    nonzeros: tuple[dict, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("variables", "nonzeros", "rhs", "_rows", "_zero")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in self.rows)
-        for coeffs, _ in rows:
+    def __init__(self, variables, rows):
+        self.variables = tuple(variables)
+        self._rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in rows)
+        for coeffs, _ in self._rows:
             if len(coeffs) != len(self.variables):
-                raise ValueError(
-                    f"row has {len(coeffs)} coefficients for "
-                    f"{len(self.variables)} variables"
-                )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nonzeros", tuple(
-            {j: c for j, c in enumerate(coeffs) if c} for coeffs, _ in rows
-        ))
+                raise ValueError(f"row has {len(coeffs)} coefficients for "
+                                 f"{len(self.variables)} variables")
+        self.nonzeros = tuple({j: c for j, c in enumerate(coeffs) if c}
+                              for coeffs, _ in self._rows)
+        self.rhs = tuple(rhs for _, rhs in self._rows)
+
+    @classmethod
+    def from_sparse(cls, variables, rows, zero) -> "LinearSystem":
+        """A system from rows of (``column -> coefficient`` dict, rhs);
+        ``zero`` fills the absent entries of the dense view."""
+        system = cls.__new__(cls)
+        system.variables = tuple(variables)
+        system.nonzeros = tuple({j: c for j, c in row.items() if c} for row, _ in rows)
+        system.rhs = tuple(rhs for _, rhs in rows)
+        system._rows, system._zero = None, zero
+        return system
+
+    @property
+    def rows(self) -> tuple[tuple[tuple, object], ...]:
+        if self._rows is None:
+            columns = range(len(self.variables))
+            self._rows = tuple((tuple(row.get(j, self._zero) for j in columns), rhs)
+                               for row, rhs in zip(self.nonzeros, self.rhs))
+        return self._rows
+
+    def __eq__(self, other):
+        return isinstance(other, LinearSystem) and (
+            (self.variables, self.rows) == (other.variables, other.rows))
+
+    def __hash__(self):
+        return hash((self.variables, self.rows))
 
 
 class AffineExpr:
@@ -159,7 +180,7 @@ def gauss_jordan(system: LinearSystem) -> SolveOutcome:
     nvars = len(variables)
     original = system.nonzeros
     rows = [dict(row) for row in original]
-    rhs = [b for _, b in system.rows]
+    rhs = list(system.rhs)
     col_rows = _column_index(rows, nvars)
     pivot_row_of_var: dict[int, int] = {}
 
@@ -313,7 +334,7 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
         return isinstance(gauss_jordan(system), Inconsistent)
 
     variables = system.variables
-    rows = zip(system.nonzeros, (rhs for _, rhs in system.rows))
+    rows = zip(system.nonzeros, system.rhs)
     if isinstance(outcome, Unique):
         assignment = outcome.assignment
         for row, rhs in rows:

@@ -244,6 +244,30 @@ def test_to_circuit_of_a_sized_tiling(tmp_path, capsys):
     assert out.splitlines()[-1] == "V L R 2"
 
 
+def test_to_circuit_refuses_a_sketch_that_contradicts_its_rects(tmp_path, capsys):
+    # the rects lie side by side in a 2x1 rectangle, the sketch stacks them
+    tiles = [{"id": 1, "sketch": [0, 0, 2, 0.5], "aspect": "1", "rect": ["0", "0", "1", "1"]},
+             {"id": 2, "sketch": [0, 0.5, 2, 0.5], "aspect": "1",
+              "rect": ["1", "0", "1", "1"]}]
+    path = tmp_path / "input.json"
+    path.write_text(_dissection(big={"w": "2", "h": "1"}, tiles=tiles))
+    assert invoke(capsys, "validate", str(path)) == (0, "valid tiling\n", "")
+    message = ("error: the sketch contradicts the rects: "
+               "its cuts do not carry the exact sizes\n")
+    assert invoke(capsys, "to-circuit", str(path)) == (1, "", message)
+    assert invoke(capsys, "--json", "to-circuit", str(path)) == (1, "", message)
+
+
+def test_render_validates_a_sized_file(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(_squares([(0, 0), (1, 0)], rects=True, w="5", h="1"))
+    svg = tmp_path / "out.svg"
+    message = ("error: dissection fails geometric validation: "
+               "tile areas do not sum to the big rectangle's area\n")
+    assert invoke(capsys, "render", str(path), "-o", str(svg)) == (1, "", message)
+    assert not svg.exists()
+
+
 # (argv, file name -> content, expected exit code); "{file}" in argv is the
 # written file.  Every row ended in a traceback, a wrong exit code or a run
 # of seconds before the input boundary was drawn.

@@ -21,6 +21,7 @@ from tilecircuit import (
     Dissection,
     DissectionError,
     FieldSpec,
+    QuadExt,
     SizingError,
     Tile,
     dehn_check,
@@ -321,21 +322,20 @@ def test_validate_geometric_catches_overlap():
     assert any("overlap" in issue for issue in report.issues)
 
 
-def test_validate_geometric_overlaps_match_all_pairs():
+def _overlaps_match_all_pairs(field, coordinate):
     # the sweep must report exactly the pairs, in exactly the order, of the
     # all-pairs test -- tiles of nonpositive size included
     rng = random.Random(23)
-    field = FieldSpec.rational()
     for _ in range(200):
         rects = [
-            tuple(Fraction(rng.randint(-2, 6), rng.randint(1, 2)) for _ in range(4))
+            tuple(coordinate(rng) for _ in range(4))
             for _ in range(rng.randint(1, 9))
         ]
         tiles = [
-            Tile(k + 1, (0.0, 0.0, 1.0, 1.0), Fraction(1), rect)
+            Tile(k + 1, (0.0, 0.0, 1.0, 1.0), field.one, rect)
             for k, rect in enumerate(rects)
         ]
-        d = Dissection(field, tiles, big_w=Fraction(6), big_h=Fraction(6))
+        d = Dissection(field, tiles, big_w=field.one * 6, big_h=field.one * 6)
         expected = [
             f"tiles {i + 1} and {j + 1} overlap"
             for i, (xi, yi, wi, hi) in enumerate(rects)
@@ -344,6 +344,20 @@ def test_validate_geometric_overlaps_match_all_pairs():
         ]
         issues = validate_geometric(d).issues
         assert [issue for issue in issues if "overlap" in issue] == expected
+
+
+def test_validate_geometric_overlaps_match_all_pairs():
+    _overlaps_match_all_pairs(
+        FieldSpec.rational(), lambda rng: Fraction(rng.randint(-2, 6), rng.randint(1, 2))
+    )
+
+
+def test_validate_geometric_overlaps_match_all_pairs_over_sqrt2():
+    _overlaps_match_all_pairs(
+        FieldSpec.quadratic(2),
+        lambda rng: QuadExt(Fraction(rng.randint(-2, 6), rng.randint(1, 2)),
+                            Fraction(rng.randint(-1, 1), 2), 2),
+    )
 
 
 def test_validate_geometric_catches_area_shortfall():

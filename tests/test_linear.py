@@ -115,6 +115,26 @@ def test_malformed_dimensions_rejected():
         LinearSystem(("x",), (((Fraction(1), Fraction(2)), Fraction(0)),))
 
 
+def test_sparse_rows_equal_their_dense_system():
+    zero = Fraction(0)
+    sparse = LinearSystem.from_sparse(
+        ("x", "y", "z"),
+        [({2: Fraction(3), 0: zero}, Fraction(1)), ({}, zero), ({1: Fraction(-1)}, zero)],
+        zero,
+    )
+    assert sparse.nonzeros == ({2: Fraction(3)}, {}, {1: Fraction(-1)})
+    assert sparse.rhs == (Fraction(1), zero, zero)
+    dense = LinearSystem(sparse.variables, (
+        ((zero, zero, Fraction(3)), Fraction(1)),
+        ((zero, zero, zero), zero),
+        ((zero, Fraction(-1), zero), zero),
+    ))
+    assert sparse.rows == dense.rows and sparse == dense
+    assert hash(sparse) == hash(dense)
+    assert all(type(c) is Fraction for coeffs, _ in sparse.rows for c in coeffs)
+    assert gauss_jordan(sparse) == gauss_jordan(dense)
+
+
 def test_matches_cramer_on_random_square_systems():
     rng = random.Random(99)
     solved = 0

@@ -1,0 +1,288 @@
+"""The certificate's near-linear scans against the scans they replaced.
+
+``validate_reference.py`` keeps the pairwise ``validate_geometric``, the
+per-strip ``extract_cuts`` and the dense ``junction_system`` verbatim.
+The library must give the same validation report (``ok`` and every issue,
+in order), the same cut structure or the same exception type and message,
+and the same junction rows and nonzeros with the same coefficient types.
+Inputs are random rectangle sets, exact brick walls with one tile shifted,
+mutated wall sketches and the test dissections, over Q and Q(sqrt 2).
+
+The complexity guard counts, without timing anything, the ``Fraction``
+comparisons of ``validate_geometric`` and the ``Fraction`` zero tests of
+``junction_system`` on generated walls of 1,040 and 2,000 tiles.
+"""
+
+import importlib.util
+import math
+import random
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import validate_reference as ref
+from conftest import tilings
+from tilecircuit import (
+    Dissection,
+    FieldSpec,
+    QuadExt,
+    Tile,
+    extract_cuts,
+    junction_system,
+    load_dissection,
+    solve_sizes,
+    validate_geometric,
+)
+
+Q = FieldSpec.rational()
+QSQRT2 = FieldSpec.quadratic(2)
+
+
+def _grid(field):
+    """A small set of coordinates, so that edges often touch or coincide."""
+    if field is Q:
+        return [Fraction(k, 2) for k in range(-2, 13)]
+    return [QuadExt(Fraction(a, 2), Fraction(b, 2), 2)
+            for a in range(-2, 9) for b in range(-1, 3)]
+
+
+FIELDS = {"Q": Q, "Q(sqrt2)": QSQRT2}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+
+
+# --- validate_geometric ----------------------------------------------------------
+
+
+@st.composite
+def rect_sets(draw, field):
+    """Random rects: nonpositive sides, tiles leaving the big rectangle,
+    touching, duplicated and overlapping ones."""
+    grid = _grid(field)
+    coord = st.sampled_from(grid)
+    zero = field.zero
+    rects = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["free", "copy", "beside", "above"]))
+        if kind != "free" and rects:
+            x, y, w, h = draw(st.sampled_from(rects))
+            if kind == "beside":
+                x = x + w
+            elif kind == "above":
+                y = y + h
+            rects.append((x, y, w, h))
+        else:
+            rects.append(tuple(draw(coord) for _ in range(4)))
+    tiles = []
+    for tid, (x, y, w, h) in enumerate(rects, 1):
+        aspect = w / h if w > zero and h > zero else field.one
+        if draw(st.booleans()):
+            aspect = aspect * 2
+        tiles.append(Tile(tid, (0.0, 0.0, 1.0, 1.0), aspect, (x, y, w, h)))
+    positive = st.sampled_from([v for v in grid if v > zero])
+    return Dissection(field, tiles, big_w=draw(positive), big_h=draw(positive))
+
+
+def _exact_wall(draw, field, values):
+    """Exact rects of a brick wall: rows of bricks, every row as wide."""
+    width = draw(values)
+    rects = []
+    y = field.zero
+    for _ in range(draw(st.integers(1, 4))):
+        h = draw(values)
+        parts = [draw(values) for _ in range(draw(st.integers(1, 4)))]
+        whole = sum(parts[1:], parts[0])
+        x = field.zero
+        for p in parts:
+            w = p * width / whole
+            rects.append((x, y, w, h))
+            x = x + w
+        y = y + h
+    return rects, width, y
+
+
+@st.composite
+def shifted_walls(draw, field):
+    """A sized wall, valid or with one tile moved, stretched or shrunk."""
+    values = st.sampled_from([v for v in _grid(field) if v > field.zero])
+    rects, width, height = _exact_wall(draw, field, values)
+    k = draw(st.integers(0, len(rects) - 1))
+    x, y, w, h = rects[k]
+    shift = draw(st.sampled_from(_grid(field))) - draw(st.sampled_from(_grid(field)))
+    part = draw(st.sampled_from(["none", "x", "y", "w", "h"]))
+    moved = {"none": (x, y, w, h), "x": (x + shift, y, w, h), "y": (x, y + shift, w, h),
+             "w": (x, y, w + shift, h), "h": (x, y, w, h + shift)}[part]
+    rects[k] = moved
+    tiles = [Tile(tid, (0.0, 0.0, 1.0, 1.0), r[2] / r[3] if r[3] else field.one, r)
+             for tid, r in enumerate(rects, 1)]
+    tiles = [t if t.aspect > field.zero else Tile(t.tid, t.sketch, field.one, t.rect)
+             for t in tiles]
+    return Dissection(field, tiles, big_w=width, big_h=height)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_matches_reference_on_random_rects(field, data):
+    d = data.draw(rect_sets(FIELDS[field]))
+    assert validate_geometric(d) == ref.validate_geometric(d)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_matches_reference_on_shifted_walls(field, data):
+    d = data.draw(shifted_walls(FIELDS[field]))
+    assert validate_geometric(d) == ref.validate_geometric(d)
+
+
+def test_validate_matches_reference_on_test_tilings():
+    for d in tilings().values():
+        sized = solve_sizes(d).sized
+        assert validate_geometric(sized) == ref.validate_geometric(sized)
+
+
+# --- extract_cuts ------------------------------------------------------------------
+
+
+def _sketch(rects):
+    return [(float(x), float(y), float(x + w) - float(x), float(y + h) - float(y))
+            for x, y, w, h in rects]
+
+
+@st.composite
+def mutated_sketches(draw, field):
+    """A wall sketch, as drawn or with a gap, an overlap, a top gap or a
+    tile collapsed below the sketch tolerance."""
+    values = st.sampled_from([v for v in _grid(field) if v > field.zero])
+    rects, _, _ = _exact_wall(draw, field, values)
+    sketch = _sketch(rects)
+    k = draw(st.integers(0, len(sketch) - 1))
+    x, y, w, h = sketch[k]
+    delta = draw(st.sampled_from([0.25, 0.5, 0.75])) * min(w, h)
+    sketch[k] = {
+        "none": (x, y, w, h),
+        "gap": (x + delta, y, w - delta, h),
+        "overlap": (x - delta, y, w + delta, h),
+        "top gap": (x, y, w, h - delta),
+        "collapse": (x, y, w * 1e-9, h),
+    }[draw(st.sampled_from(["none", "gap", "overlap", "top gap", "collapse"]))]
+    tids = draw(st.permutations(range(1, len(sketch) + 1)))
+    tiles = [Tile(tid, s, field.one) for tid, s in zip(tids, sketch)]
+    order = draw(st.permutations(range(len(tiles))))
+    return Dissection(field, [tiles[i] for i in order])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_extract_cuts_matches_reference_on_mutated_sketches(field, data):
+    d = data.draw(mutated_sketches(FIELDS[field]))
+    assert outcome(extract_cuts, d) == outcome(ref.extract_cuts, d)
+
+
+def test_extract_cuts_matches_reference_on_test_tilings():
+    for d in tilings().values():
+        assert outcome(extract_cuts, d) == outcome(ref.extract_cuts, d)
+
+
+# --- junction_system ---------------------------------------------------------------
+
+
+def assert_same_system(new, old):
+    assert new.variables == old.variables
+    assert new.rhs == tuple(rhs for _, rhs in old.rows)
+    assert len(new.rows) == len(old.rows)
+    for (coeffs, rhs), (old_coeffs, old_rhs) in zip(new.rows, old.rows):
+        assert coeffs == old_coeffs and rhs == old_rhs
+        assert list(map(type, coeffs)) == list(map(type, old_coeffs))
+        assert type(rhs) is type(old_rhs)
+    assert new.nonzeros == old.nonzeros
+    for row, old_row in zip(new.nonzeros, old.nonzeros):
+        assert {j: type(c) for j, c in row.items()} == {
+            j: type(c) for j, c in old_row.items()}
+    assert new == old
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_junction_system_matches_dense_build(field, data):
+    spec = FIELDS[field]
+    values = st.sampled_from([v for v in _grid(spec) if v > spec.zero])
+    rects, _, height = _exact_wall(data.draw, spec, values)
+    d = Dissection(spec, [Tile(tid, s, r[2] / r[3]) for tid, (s, r)
+                          in enumerate(zip(_sketch(rects), rects), 1)])
+    cs = extract_cuts(d)
+    side = data.draw(st.sampled_from([None, height]))
+    new = junction_system(cs, d.tiles, spec, side)
+    old = ref.junction_system(cs, d.tiles, spec, side)
+    # the dense view is read last, so the sparse parts are compared unforced
+    assert new.nonzeros == old.nonzeros and new.rhs == tuple(b for _, b in old.rows)
+    assert_same_system(new, old)
+
+
+def test_junction_system_matches_dense_build_on_test_tilings():
+    for d in tilings().values():
+        cs = extract_cuts(d)
+        assert_same_system(junction_system(cs, d.tiles, d.field),
+                           ref.junction_system(cs, d.tiles, d.field))
+
+
+# --- complexity guard --------------------------------------------------------------
+
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+# Fraction comparisons per n log2 n that validate_geometric may make
+COMPARISONS_PER_N_LOG_N = 4
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def big_walls():
+    gen = _gen()
+    return [load_dissection(gen.brick_wall(random.Random(n), n).sized_json())
+            for n in (1040, 2000)]
+
+
+def _counting(monkeypatch, names):
+    calls = Counter()
+    for name in names:
+        def counted(self, *args, _name=name, _original=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_validate_geometric_makes_n_log_n_comparisons(big_walls, monkeypatch):
+    for d in big_walls:
+        n = len(d.tiles)
+        with monkeypatch.context() as patch:
+            calls = _counting(patch, ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"))
+            assert validate_geometric(d).ok
+        assert sum(calls.values()) < COMPARISONS_PER_N_LOG_N * n * math.log2(n), calls
+
+
+def test_junction_system_tests_only_nonzeros_for_zero(big_walls, monkeypatch):
+    for d in big_walls:
+        cs = extract_cuts(d)
+        with monkeypatch.context() as patch:
+            calls = _counting(patch, ("__bool__",))
+            system = junction_system(cs, d.tiles, d.field)
+        assert calls["__bool__"] <= sum(len(row) for row in system.nonzeros)
