@@ -1,7 +1,11 @@
-"""Exact command-line output over Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), pinned.
+"""Exact command-line output over Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), pinned.
 
-Every answer below is printed from ``QuadExt`` arithmetic, so a change to
-how quadratic scalars are stored or reduced shows here as a changed byte.
+Every answer below is printed from exact arithmetic, so a change to how
+``QuadExt`` scalars are stored or reduced, or to how the checks over Q
+compare their ``Fraction`` values, shows here as a changed byte.  The
+rational cases run every dissection command on a 36-tile brick wall
+(``perfbench/gen.py``'s ``brick_wall``) as a sketch, sized, and sized with
+one tile moved.
 ``quadratic_outputs.json`` holds, per case, the exit code, stdout and
 stderr of each command and the text of every file it writes; ``{tmp}``
 stands for the case's temporary directory.
@@ -33,6 +37,19 @@ CASES.update({
         [*flag, "lfs", "build", str(DATA / "ladder_sqrt3.json"), "--out", "{tmp}/ladder.json"],
         [*flag, "theorem1", "{tmp}/ladder.json"],
     ]
+    for mode, flag in (("json", ["--json"]), ("text", []))
+})
+
+CASES.update({
+    f"{name}-{mode}": [
+        [*flag, "solve", str(DATA / f"{name}.json"), "--out", "{tmp}/sized.json"],
+        [*flag, "validate", str(DATA / f"{name}.json")],
+        [*flag, "equiv-check", str(DATA / f"{name}.json")],
+        [*flag, "to-circuit", str(DATA / f"{name}.json")],
+        [*flag, "dehn-check", str(DATA / f"{name}.json")],
+        [*flag, "render", str(DATA / f"{name}.json"), "-o", "{tmp}/wall.svg"],
+    ]
+    for name in ("wall_q", "wall_q_sized", "wall_q_moved")
     for mode, flag in (("json", ["--json"]), ("text", []))
 })
 
