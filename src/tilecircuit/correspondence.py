@@ -59,6 +59,7 @@ from .fields import (
     InputError,
     QuadExt,
     RatFunc,
+    _on_grid,
     format_scalar,
     one_like,
     parse_rational,
@@ -202,22 +203,29 @@ def _obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
     every node, each tile obeys Ohm's law (its potential drop, its width w,
     is height times resistance), and each node gets one potential from the
     battery (x = 0 at plus, x = U at minus) and every tile touching it.
+    Over Q the currents and the positions are each put on an integer grid,
+    so only Ohm's law runs in the field.
     """
     u = net.battery.voltage
-    zero = zero_like(u)
     plus, minus = net.battery.plus, net.battery.minus
-    outflow = dict.fromkeys(net.nodes, zero)
-    outflow[plus] = zero - sized.big_h
-    outflow[minus] = zero + sized.big_h
-    at = {plus: zero, minus: u}
+    rects = [t.rect for t in sized.tiles]
+    xs, ws, hs = [r[0] for r in rects], [r[2] for r in rects], [r[3] for r in rects]
+    currents = _on_grid((sized.big_h,), hs)
+    (battery,), flows = currents[0] if currents else ((sized.big_h,), hs)
+    positions = _on_grid((u,), xs, ws)
+    if positions is not None:
+        ((u,), xs, ws), _ = positions
+    outflow = dict.fromkeys(net.nodes, battery - battery)
+    outflow[plus] = -battery
+    outflow[minus] = battery
+    at = {plus: u - u, minus: u}
     # circuit_of_dissection makes tile k resistor k, in tile order
-    for t, r in zip(sized.tiles, net.resistors):
-        x, _, w, h = t.rect
+    for (_, _, w, h), r, x, gw, flow in zip(rects, net.resistors, xs, ws, flows):
         if h * r.value != w:
             return False
-        outflow[r.node_a] += h
-        outflow[r.node_b] -= h
-        right = x + w
+        outflow[r.node_a] += flow
+        outflow[r.node_b] -= flow
+        right = x + gw
         if at.setdefault(r.node_a, x) != x or at.setdefault(r.node_b, right) != right:
             return False
     return not any(outflow.values())

@@ -34,7 +34,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .fields import FieldSpec, InputError, QuadExt, format_scalar
+from .fields import FieldSpec, InputError, QuadExt, _on_grid, format_scalar
 from .linear import (
     LinearSystem,
     gauss_jordan,  # noqa: F401  a module-level name that perfbench/spans.py wraps
@@ -473,23 +473,27 @@ class ValidationReport:
 def validate_geometric(d: Dissection) -> ValidationReport:
     """Certify that the exact rectangles tile the big rectangle.
 
-    Exact containment of every tile, pairwise disjoint interiors, and the
-    area identity together guarantee an exact tiling.  Every coordinate (0,
-    the big sides, each tile edge) is replaced by its rank on its axis.
-    Ranks keep strict order exactly, so only the aspect and area checks run
-    in the field; size, containment and overlap tests compare ints.
+    Positive big sides, exact containment of every tile, pairwise disjoint
+    interiors, and the area identity together guarantee an exact tiling.
+    Every coordinate (0, the big sides, each tile edge) is replaced by its
+    rank on its axis.  Ranks keep strict order exactly, so size,
+    containment and overlap tests compare ints.  Over Q each axis is first
+    put on its own integer grid, scaled by a positive constant, so its
+    edges, ranks and the area identity run on ints too; only the aspect
+    check runs in the field.
     """
     if not d.is_sized:
         raise DissectionError("validate_geometric needs exact rectangles and big sides")
     issues = []
-    zero = d.field.zero
-    area = zero
+    if not (d.big_w > d.field.zero and d.big_h > d.field.zero):
+        issues.append("the big rectangle has a nonpositive side")
     tiles = d.tiles
     rects = [t.rect for t in tiles]
-    xs = _ranks([zero, d.big_w] + [v for x, _, w, _ in rects for v in (x, x + w)])
-    ys = _ranks([zero, d.big_h] + [v for _, y, _, h in rects for v in (y, y + h)])
+    big_w, xs, ws = _axis(d.big_w, [r[0] for r in rects], [r[2] for r in rects])
+    big_h, ys, hs = _axis(d.big_h, [r[1] for r in rects], [r[3] for r in rects])
     boxes = [(xs[k], xs[k + 1], ys[k], ys[k + 1]) for k in range(2, len(xs), 2)]
-    for t, (_, _, w, h), (x0, x1, y0, y1) in zip(tiles, rects, boxes):
+    area = big_w - big_w
+    for t, (_, _, w, h), (x0, x1, y0, y1), gw, gh in zip(tiles, rects, boxes, ws, hs):
         if not (x0 < x1 and y0 < y1):
             issues.append(f"tile {t.tid} has nonpositive size")
             continue
@@ -497,12 +501,23 @@ def validate_geometric(d: Dissection) -> ValidationReport:
             issues.append(f"tile {t.tid} violates its aspect ratio")
         if x0 < xs[0] or y0 < ys[0] or x1 > xs[1] or y1 > ys[1]:
             issues.append(f"tile {t.tid} leaves the big rectangle")
-        area = area + w * h
+        area = area + gw * gh
     for i, j in _overlapping_pairs(boxes):
         issues.append(f"tiles {tiles[i].tid} and {tiles[j].tid} overlap")
-    if area != d.big_w * d.big_h:
+    if area != big_w * big_h:
         issues.append("tile areas do not sum to the big rectangle's area")
     return ValidationReport(not issues, tuple(issues))
+
+
+def _axis(big, starts, sizes):
+    """One axis of ``validate_geometric``: the big side and the sizes, on
+    the axis's integer grid when there is one, and the ranks of 0, the
+    big side and each tile's two edges."""
+    grid = _on_grid((big,), starts, sizes)
+    if grid is not None:
+        ((big,), starts, sizes), _ = grid
+    return big, _ranks([big - big, big] + [
+        v for s, size in zip(starts, sizes) for v in (s, s + size)]), sizes
 
 
 def _ranks(values) -> list[int]:

@@ -24,6 +24,20 @@ types, as do ``parse_quadext`` and ``FieldSpec``, which go through it or
 check d themselves; values built by arithmetic inside this module reuse an
 already checked radicand and skip those checks.
 
+Over Q, the exact checks of a tiling or a flow compare and add many
+rationals with few distinct denominators.  The private ``_on_grid`` puts
+such a set of values on one integer grid: times their common denominator
+L, every ``Fraction`` and ``int`` becomes an int.  Scaling by L > 0 keeps
+order, equality and sums, so a check that runs on the grid gives the
+verdict it gives in the field, with no gcd and no new ``Fraction`` per
+operation (Brooks, Smith, Stone and Tutte, Duke Math. J. 1940, scale a
+rational squared rectangle to integer sides the same way).  L is built
+from the distinct denominators, 64 at a time, and the grid is declined
+once L passes 4,096 bits, where pairwise coprime denominators would make
+every scaled value as long as all of them together.  Any other scalar
+(``QuadExt``, ``RatFunc``, ``bool``) declines it after one type test, and
+the caller runs its field arithmetic instead.
+
 Scalars have a textual syntax used by every file format: a rational is
 ``p/q`` or ``p``; a quadratic element is ``a/b + c/e*sqrt(d)`` with either
 term omissible and whitespace insignificant.  Parsing and printing
@@ -36,6 +50,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 Rational = Fraction
 
@@ -54,6 +69,45 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+# Denominators per math.lcm call, and the widest common denominator, in
+# bits, that _on_grid accepts.
+_GRID_CHUNK = 64
+_GRID_MAX_BITS = 4096
+
+
+def _on_grid(*groups):
+    """Each group of values times the common denominator L of them all, as
+    lists of ints, and L.
+
+    The values are ``Fraction``s and ``int``s, read once in group order.
+    Returns None at the first value of another type, so a non-rational
+    field builds no list, and None when L would pass ``_GRID_MAX_BITS``.
+    """
+    nums, dens = [], []
+    for v in chain(*groups):
+        if type(v) is Fraction:
+            nums.append(v._numerator)
+            dens.append(v._denominator)
+        elif type(v) is int:
+            nums.append(v)
+            dens.append(1)
+        else:
+            return None
+    distinct = list(set(dens))
+    lcm = 1
+    for k in range(0, len(distinct), _GRID_CHUNK):
+        lcm = math.lcm(lcm, *distinct[k:k + _GRID_CHUNK])
+        if lcm.bit_length() > _GRID_MAX_BITS:
+            return None
+    scale = {den: lcm // den for den in distinct}
+    ints = [n * scale[den] for n, den in zip(nums, dens)]
+    split, start = [], 0
+    for group in groups:
+        split.append(ints[start:start + len(group)])
+        start += len(group)
+    return split, lcm
 
 
 _MAX_RADICAND = 10**10

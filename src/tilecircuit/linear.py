@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import RatFunc, zero_like
+from .fields import RatFunc, _on_grid, zero_like
 
 
 class LinearSystem:
@@ -337,7 +337,21 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     rows = zip(system.nonzeros, system.rhs)
     if isinstance(outcome, Unique):
         assignment = outcome.assignment
+        grid = _on_grid(assignment.values())
+        if grid is not None:
+            (values,), scale = grid
+            on_grid = dict(zip(assignment, values))
         for row, rhs in rows:
+            # over Q: sum c'V = b'L, with the row scaled to its own grid
+            scaled = grid and _on_grid((*row.values(), rhs))
+            if scaled:
+                (coeffs,), _ = scaled
+                total = 0
+                for j, c in zip(row, coeffs):
+                    total += c * on_grid[variables[j]]
+                if total != coeffs[-1] * scale:
+                    return False
+                continue
             total = zero_like(rhs)
             for j, c in row.items():
                 total = total + c * assignment[variables[j]]

@@ -268,6 +268,24 @@ def test_render_validates_a_sized_file(tmp_path, capsys):
     assert not svg.exists()
 
 
+
+@pytest.mark.parametrize("w, h", [("0", "5"), ("-2", "0")])
+def test_a_big_rectangle_with_a_nonpositive_side_is_refused(w, h, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"},
+                                "big": {"w": w, "h": h}, "tiles": []}))
+    issue = "the big rectangle has a nonpositive side"
+    assert invoke(capsys, "validate", str(path)) == (1, f"invalid tiling:\n  {issue}\n", "")
+    code, out, err = invoke(capsys, "--json", "validate", str(path))
+    assert (code, json.loads(out), err) == (1, {"ok": False, "issues": [issue]}, "")
+    message = f"error: dissection fails geometric validation: {issue}\n"
+    svg = tmp_path / "out.svg"
+    for argv in (["dehn-check", str(path)], ["render", str(path), "-o", str(svg)],
+                 ["to-circuit", str(path)]):
+        assert invoke(capsys, *argv) == (1, "", message)
+        assert invoke(capsys, "--json", *argv) == (1, "", message)
+    assert not svg.exists()
+
 # (argv, file name -> content, expected exit code); "{file}" in argv is the
 # written file.  Every row ended in a traceback, a wrong exit code or a run
 # of seconds before the input boundary was drawn.

@@ -375,6 +375,18 @@ def test_validate_geometric_catches_area_shortfall():
     assert any("area" in issue for issue in report.issues)
 
 
+
+@pytest.mark.parametrize("big_w, big_h", [(0, 1), (1, -1), (-2, 0)])
+def test_validate_geometric_checks_the_big_sides_first(big_w, big_h):
+    field = FieldSpec.rational()
+    one, zero = field.one, field.zero
+    tile = Tile(1, (0.0, 0.0, 1.0, 1.0), one, (zero, zero, one, one))
+    for tiles in ([], [tile]):
+        d = Dissection(field, tiles, big_w=Fraction(big_w), big_h=Fraction(big_h))
+        report = validate_geometric(d)
+        assert not report.ok
+        assert report.issues[0] == "the big rectangle has a nonpositive side"
+
 def test_validate_needs_exact_data():
     d = make_shelf()
     with pytest.raises(DissectionError):

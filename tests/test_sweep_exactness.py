@@ -9,8 +9,11 @@ Inputs are random rectangle sets, exact brick walls with one tile shifted,
 mutated wall sketches and the test dissections, over Q and Q(sqrt 2).
 
 The complexity guard counts, without timing anything, the ``Fraction``
-comparisons of ``validate_geometric`` and the ``Fraction`` zero tests of
-``junction_system`` on generated walls of 1,040 and 2,000 tiles.
+comparisons of ``validate_geometric``, the ``Fraction`` zero tests of
+``junction_system``, and the ``Fraction`` sums and products of the
+certificate's three checks (``validate_geometric``, the local laws and
+the substitution), which over Q run on integer grids, on generated walls
+of 1,040 and 2,000 tiles.
 """
 
 import importlib.util
@@ -31,21 +34,33 @@ from tilecircuit import (
     FieldSpec,
     QuadExt,
     Tile,
+    circuit_of_dissection,
     extract_cuts,
     junction_system,
     load_dissection,
     solve_sizes,
     validate_geometric,
 )
+from tilecircuit.correspondence import _obeys_circuit_laws
+from tilecircuit.fields import _on_grid
+from tilecircuit.linear import Unique, substitute_and_verify
 
 Q = FieldSpec.rational()
 QSQRT2 = FieldSpec.quadratic(2)
 
 
 def _grid(field):
-    """A small set of coordinates, so that edges often touch or coincide."""
+    """A small set of coordinates, so that edges often touch or coincide.
+
+    Over Q the halves are joined by values with denominators 3, 7, 11 and
+    one above 2**64, and by plain ints, so that the integer grid of each
+    axis has a nontrivial common denominator and mixes both types.
+    """
     if field is Q:
-        return [Fraction(k, 2) for k in range(-2, 13)]
+        return ([Fraction(k, 2) for k in range(-2, 13)]
+                + [Fraction(1, 3), Fraction(7, 3), Fraction(3, 7), Fraction(17, 7),
+                   Fraction(5, 11), Fraction(2**65 + 3, 2**64 + 13)]
+                + [0, 1, 2, 5])
     return [QuadExt(Fraction(a, 2), Fraction(b, 2), 2)
             for a in range(-2, 9) for b in range(-1, 3)]
 
@@ -84,7 +99,7 @@ def rect_sets(draw, field):
             rects.append(tuple(draw(coord) for _ in range(4)))
     tiles = []
     for tid, (x, y, w, h) in enumerate(rects, 1):
-        aspect = w / h if w > zero and h > zero else field.one
+        aspect = field.one * w / h if w > zero and h > zero else field.one
         if draw(st.booleans()):
             aspect = aspect * 2
         tiles.append(Tile(tid, (0.0, 0.0, 1.0, 1.0), aspect, (x, y, w, h)))
@@ -103,7 +118,7 @@ def _exact_wall(draw, field, values):
         whole = sum(parts[1:], parts[0])
         x = field.zero
         for p in parts:
-            w = p * width / whole
+            w = field.one * p * width / whole
             rects.append((x, y, w, h))
             x = x + w
         y = y + h
@@ -122,7 +137,8 @@ def shifted_walls(draw, field):
     moved = {"none": (x, y, w, h), "x": (x + shift, y, w, h), "y": (x, y + shift, w, h),
              "w": (x, y, w + shift, h), "h": (x, y, w, h + shift)}[part]
     rects[k] = moved
-    tiles = [Tile(tid, (0.0, 0.0, 1.0, 1.0), r[2] / r[3] if r[3] else field.one, r)
+    tiles = [Tile(tid, (0.0, 0.0, 1.0, 1.0),
+                  field.one * r[2] / r[3] if r[3] else field.one, r)
              for tid, r in enumerate(rects, 1)]
     tiles = [t if t.aspect > field.zero else Tile(t.tid, t.sketch, field.one, t.rect)
              for t in tiles]
@@ -149,6 +165,45 @@ def test_validate_matches_reference_on_test_tilings():
     for d in tilings().values():
         sized = solve_sizes(d).sized
         assert validate_geometric(sized) == ref.validate_geometric(sized)
+
+
+def _primes(first, count):
+    """``count`` consecutive primes from ``first`` on, by trial division."""
+    out = []
+    k = first
+    while len(out) < count:
+        if k > 1 and all(k % q for q in range(2, math.isqrt(k) + 1)):
+            out.append(k)
+        k += 1
+    return out
+
+
+def coprime_tiling(columns, first_prime=2, move=None):
+    """Unit columns side by side, column k cut at height 1/p_k for the k-th
+    prime p_k from ``first_prime`` on.  The y values have pairwise coprime
+    denominators, so their common denominator grows with the columns.
+    ``move`` lifts that tile's cut by a half of its height."""
+    tiles = []
+    for k, p in enumerate(_primes(first_prime, columns)):
+        cut = Fraction(1, p)
+        for y, h in ((Fraction(0), cut), (cut, 1 - cut)):
+            tid = len(tiles) + 1
+            if tid == move:
+                y = y + h / 2
+            tiles.append(Tile(tid, (float(k), float(y), 1.0, float(h)), 1 / h,
+                              (Fraction(k), y, Fraction(1), h)))
+    return Dissection(Q, tiles, big_w=Fraction(columns), big_h=Fraction(1))
+
+
+@pytest.mark.parametrize("move", [None, 1, 2, 301])
+def test_validate_matches_reference_past_the_grid_cap(move):
+    d = coprime_tiling(300, first_prime=10**6, move=move)
+    ys = [v for t in d.tiles for v in (t.rect[1], t.rect[3])]
+    assert _on_grid(ys) is None  # the y axis takes the capped fallback
+    assert _on_grid([t.rect[0] for t in d.tiles]) is not None
+    report = validate_geometric(d)
+    assert report == ref.validate_geometric(d)
+    assert report.ok is (move is None)
 
 
 # --- extract_cuts ------------------------------------------------------------------
@@ -286,3 +341,25 @@ def test_junction_system_tests_only_nonzeros_for_zero(big_walls, monkeypatch):
             calls = _counting(patch, ("__bool__",))
             system = junction_system(cs, d.tiles, d.field)
         assert calls["__bool__"] <= sum(len(row) for row in system.nonzeros)
+
+
+# Fraction products per tile that the three checks of a certificate may
+# make between them: the aspect check and Ohm's law
+PRODUCTS_PER_TILE = 2
+
+
+def test_certificate_checks_run_on_the_integer_grid(big_walls, monkeypatch):
+    for d in big_walls:
+        cs = extract_cuts(d)
+        net = circuit_of_dissection(d, cs)
+        system = junction_system(cs, d.tiles, d.field, d.big_h)
+        sides = Unique({**{f"v{t.tid}": t.rect[3] for t in d.tiles}, "x": d.big_w})
+        with monkeypatch.context() as patch:
+            calls = _counting(patch, ("__add__", "__radd__", "__sub__", "__rsub__",
+                                      "__mul__", "__rmul__"))
+            assert validate_geometric(d).ok
+            assert _obeys_circuit_laws(net, d)
+            assert substitute_and_verify(system, sides)
+        sums = ("__add__", "__radd__", "__sub__", "__rsub__")
+        assert sum(calls[name] for name in sums) == 0, calls
+        assert calls["__mul__"] + calls["__rmul__"] <= PRODUCTS_PER_TILE * len(d.tiles), calls
