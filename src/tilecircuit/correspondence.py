@@ -215,10 +215,10 @@ def _obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
     positions = _on_grid((u,), xs, ws)
     if positions is not None:
         ((u,), xs, ws), _ = positions
-    outflow = dict.fromkeys(net.nodes, battery - battery)
+    outflow = dict.fromkeys(net.nodes, 0)
     outflow[plus] = -battery
     outflow[minus] = battery
-    at = {plus: u - u, minus: u}
+    at = {plus: 0, minus: u}
     # circuit_of_dissection makes tile k resistor k, in tile order
     for (_, _, w, h), r, x, gw, flow in zip(rects, net.resistors, xs, ws, flows):
         if h * r.value != w:

@@ -485,14 +485,14 @@ def validate_geometric(d: Dissection) -> ValidationReport:
     if not d.is_sized:
         raise DissectionError("validate_geometric needs exact rectangles and big sides")
     issues = []
-    if not (d.big_w > d.field.zero and d.big_h > d.field.zero):
+    if not (d.big_w > 0 and d.big_h > 0):
         issues.append("the big rectangle has a nonpositive side")
     tiles = d.tiles
     rects = [t.rect for t in tiles]
     big_w, xs, ws = _axis(d.big_w, [r[0] for r in rects], [r[2] for r in rects])
     big_h, ys, hs = _axis(d.big_h, [r[1] for r in rects], [r[3] for r in rects])
     boxes = [(xs[k], xs[k + 1], ys[k], ys[k + 1]) for k in range(2, len(xs), 2)]
-    area = big_w - big_w
+    area = 0
     for t, (_, _, w, h), (x0, x1, y0, y1), gw, gh in zip(tiles, rects, boxes, ws, hs):
         if not (x0 < x1 and y0 < y1):
             issues.append(f"tile {t.tid} has nonpositive size")
@@ -516,7 +516,7 @@ def _axis(big, starts, sizes):
     grid = _on_grid((big,), starts, sizes)
     if grid is not None:
         ((big,), starts, sizes), _ = grid
-    return big, _ranks([big - big, big] + [
+    return big, _ranks([0, big] + [
         v for s, size in zip(starts, sizes) for v in (s, s + size)]), sizes
 
 

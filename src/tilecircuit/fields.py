@@ -24,19 +24,13 @@ types, as do ``parse_quadext`` and ``FieldSpec``, which go through it or
 check d themselves; values built by arithmetic inside this module reuse an
 already checked radicand and skip those checks.
 
-Over Q, the exact checks of a tiling or a flow compare and add many
-rationals with few distinct denominators.  The private ``_on_grid`` puts
-such a set of values on one integer grid: times their common denominator
-L, every ``Fraction`` and ``int`` becomes an int.  Scaling by L > 0 keeps
-order, equality and sums, so a check that runs on the grid gives the
-verdict it gives in the field, with no gcd and no new ``Fraction`` per
-operation (Brooks, Smith, Stone and Tutte, Duke Math. J. 1940, scale a
-rational squared rectangle to integer sides the same way).  L is built
-from the distinct denominators, 64 at a time, and the grid is declined
-once L passes 4,096 bits, where pairwise coprime denominators would make
-every scaled value as long as all of them together.  Any other scalar
-(``QuadExt``, ``RatFunc``, ``bool``) declines it after one type test, and
-the caller runs its field arithmetic instead.
+Over Q, the certificate's checks put their values on an integer grid
+(the private ``_on_grid``): times their common denominator L, each
+``Fraction`` and ``int`` becomes an int, and scaling by L > 0 keeps order,
+equality and sums, as Brooks, Smith, Stone and Tutte (Duke Math. J. 1940)
+scale a rational squared rectangle to integer sides.  Any other scalar
+declines the grid, and so does an L past 4,096 bits, where pairwise
+coprime denominators would make the grid quadratic.
 
 Scalars have a textual syntax used by every file format: a rational is
 ``p/q`` or ``p``; a quadratic element is ``a/b + c/e*sqrt(d)`` with either
@@ -83,7 +77,8 @@ def _on_grid(*groups):
 
     The values are ``Fraction``s and ``int``s, read once in group order.
     Returns None at the first value of another type, so a non-rational
-    field builds no list, and None when L would pass ``_GRID_MAX_BITS``.
+    field pays one type test, and None when L would pass
+    ``_GRID_MAX_BITS``.
     """
     nums, dens = [], []
     for v in chain(*groups):
