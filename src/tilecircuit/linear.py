@@ -328,7 +328,8 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     Unique assignments are substituted directly; parametric outcomes are
     checked as identities in the free variables; an Inconsistent outcome
     verifies by re-deriving inconsistency.  Only nonzero coefficients are
-    visited.
+    visited.  Over Q a unique assignment V is put on an integer grid, V'
+    = V * L, and each row on its own, so sum c'V' = b'L is tested in ints.
     """
     if isinstance(outcome, Inconsistent):
         return isinstance(gauss_jordan(system), Inconsistent)
@@ -340,15 +341,14 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
         grid = _on_grid(assignment.values())
         if grid is not None:
             (values,), scale = grid
-            on_grid = dict(zip(assignment, values))
+            assigned = dict(zip(assignment, values))
         for row, rhs in rows:
-            # over Q: sum c'V = b'L, with the row scaled to its own grid
             scaled = grid and _on_grid((*row.values(), rhs))
             if scaled:
                 (coeffs,), _ = scaled
                 total = 0
                 for j, c in zip(row, coeffs):
-                    total += c * on_grid[variables[j]]
+                    total += c * assigned[variables[j]]
                 if total != coeffs[-1] * scale:
                     return False
                 continue

@@ -6,7 +6,8 @@ The library must give the same validation report (``ok`` and every issue,
 in order), the same cut structure or the same exception type and message,
 and the same junction rows and nonzeros with the same coefficient types.
 Inputs are random rectangle sets, exact brick walls with one tile shifted,
-mutated wall sketches and the test dissections, over Q and Q(sqrt 2).
+mutated wall sketches and the test dissections, over Q and Q(sqrt 2), and
+over Q a tiling whose y values have pairwise coprime denominators.
 
 The complexity guard counts, without timing anything, the ``Fraction``
 comparisons of ``validate_geometric``, the ``Fraction`` zero tests of
@@ -168,17 +169,17 @@ def test_validate_matches_reference_on_test_tilings():
 
 
 def _primes(first, count):
-    """``count`` consecutive primes from ``first`` on, by trial division."""
+    """``count`` consecutive primes from ``first`` >= 2 on, by trial division."""
     out = []
     k = first
     while len(out) < count:
-        if k > 1 and all(k % q for q in range(2, math.isqrt(k) + 1)):
+        if all(k % q for q in range(2, math.isqrt(k) + 1)):
             out.append(k)
         k += 1
     return out
 
 
-def coprime_tiling(columns, first_prime=2, move=None):
+def coprime_tiling(columns, first_prime, move=None):
     """Unit columns side by side, column k cut at height 1/p_k for the k-th
     prime p_k from ``first_prime`` on.  The y values have pairwise coprime
     denominators, so their common denominator grows with the columns.
