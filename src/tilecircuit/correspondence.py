@@ -203,18 +203,15 @@ def _obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
     every node, each tile obeys Ohm's law (its potential drop, its width w,
     is height times resistance), and each node gets one potential from the
     battery (x = 0 at plus, x = U at minus) and every tile touching it.
-    Over Q the currents and the positions are each put on an integer grid,
-    so only Ohm's law runs in the field.
+    The currents and the positions are each put on a grid, times an L > 0;
+    over Q both grids are ints, so only Ohm's law runs in the field.
     """
     u = net.battery.voltage
     plus, minus = net.battery.plus, net.battery.minus
     rects = [t.rect for t in sized.tiles]
     xs, ws, hs = [r[0] for r in rects], [r[2] for r in rects], [r[3] for r in rects]
-    currents = _on_grid((sized.big_h,), hs)
-    (battery,), flows = currents[0] if currents else ((sized.big_h,), hs)
-    positions = _on_grid((u,), xs, ws)
-    if positions is not None:
-        ((u,), xs, ws), _ = positions
+    ((battery,), flows), _ = _on_grid((sized.big_h,), hs)
+    ((u,), xs, ws), _ = _on_grid((u,), xs, ws)
     outflow = dict.fromkeys(net.nodes, 0)
     outflow[plus] = -battery
     outflow[minus] = battery

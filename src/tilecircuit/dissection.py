@@ -22,8 +22,8 @@ Dissection file format (JSON)::
      "tiles": [{"id": 1, "sketch": [x, y, w, h], "aspect": scalar,
                 "rect": [x, y, w, h] | null}, ...]}
 
-where scalars use the shared textual syntax and sketch entries are plain
-JSON numbers.
+where scalars use the shared textual syntax, sketch entries are plain
+JSON numbers, and ids and d are JSON integers (never booleans).
 """
 
 from __future__ import annotations
@@ -85,12 +85,6 @@ class Dissection:
                 raise _MalformedDissection(
                     f"tile {t.tid} has a nonpositive aspect ratio"
                 )
-
-    def tile(self, tid: int) -> Tile:
-        for t in self.tiles:
-            if t.tid == tid:
-                return t
-        raise KeyError(f"no tile with id {tid}")
 
     @property
     def is_sized(self) -> bool:
@@ -477,10 +471,10 @@ def validate_geometric(d: Dissection) -> ValidationReport:
     interiors, and the area identity together guarantee an exact tiling.
     Every coordinate (0, the big sides, each tile edge) is replaced by its
     rank on its axis.  Ranks keep strict order exactly, so size,
-    containment and overlap tests compare ints.  Over Q each axis is first
-    put on its own integer grid, scaled by a positive constant, so its
-    edges, ranks and the area identity run on ints too; only the aspect
-    check runs in the field.
+    containment and overlap tests compare ints.  Each axis is first put on
+    its own grid, times a constant L > 0, which keeps order, equality and
+    sums.  Over Q, L is the common denominator, so the edges, ranks and the
+    area identity run on ints too; only the aspect check reads the field.
     """
     if not d.is_sized:
         raise DissectionError("validate_geometric needs exact rectangles and big sides")
@@ -511,11 +505,9 @@ def validate_geometric(d: Dissection) -> ValidationReport:
 
 def _axis(big, starts, sizes):
     """One axis of ``validate_geometric``: the big side and the sizes, on
-    the axis's integer grid when there is one, and the ranks of 0, the
-    big side and each tile's two edges."""
-    grid = _on_grid((big,), starts, sizes)
-    if grid is not None:
-        ((big,), starts, sizes), _ = grid
+    the axis's grid, and the ranks of 0, the big side and each tile's two
+    edges."""
+    ((big,), starts, sizes), _ = _on_grid((big,), starts, sizes)
     return big, _ranks([0, big] + [
         v for s, size in zip(starts, sizes) for v in (s, s + size)]), sizes
 
@@ -628,14 +620,18 @@ def dissection_from_json(obj: dict) -> Dissection:
         for entry in obj["tiles"]:
             sketch = tuple(float(c) for c in entry["sketch"])
             where = f"tile {entry.get('id')}"
-            if len(sketch) != 4:
+            numbers = all(type(c) in (int, float) for c in entry["sketch"])
+            if len(sketch) != 4 or not numbers:
                 raise _MalformedDissection(f"{where} sketch needs 4 numbers")
             rect = entry.get("rect")
             if rect and len(rect) != 4:
                 raise _MalformedDissection(f"{where} rect needs 4 scalars")
+            tid = entry["id"]
+            if type(tid) is not int:
+                raise _MalformedDissection(f"tile id {json.dumps(tid)} is not an integer")
             tiles.append(
                 Tile(
-                    int(entry["id"]),
+                    tid,
                     sketch,
                     field.parse(entry["aspect"]),
                     tuple(field.parse(c) for c in rect) if rect else None,

@@ -24,13 +24,13 @@ types, as do ``parse_quadext`` and ``FieldSpec``, which go through it or
 check d themselves; values built by arithmetic inside this module reuse an
 already checked radicand and skip those checks.
 
-Over Q, the certificate's checks put their values on an integer grid
-(the private ``_on_grid``): times their common denominator L, each
-``Fraction`` and ``int`` becomes an int, and scaling by L > 0 keeps order,
-equality and sums, as Brooks, Smith, Stone and Tutte (Duke Math. J. 1940)
-scale a rational squared rectangle to integer sides.  Any other scalar
-declines the grid, and so does an L past 4,096 bits, where pairwise
-coprime denominators would make the grid quadratic.
+The certificate's checks put their values on a grid (the private
+``_on_grid``): times one L > 0, which keeps order, equality and sums.  Over
+Q, L is the common denominator and each ``Fraction`` and ``int`` becomes an
+int, as Brooks, Smith, Stone and Tutte (Duke Math. J. 1940) scale a
+rational squared rectangle to integer sides.  Any other scalar, or an L
+past 4,096 bits, where pairwise coprime denominators would make the grid
+quadratic, gives L = 1 and the values as given.
 
 Scalars have a textual syntax used by every file format: a rational is
 ``p/q`` or ``p``; a quadratic element is ``a/b + c/e*sqrt(d)`` with either
@@ -72,13 +72,12 @@ _GRID_MAX_BITS = 4096
 
 
 def _on_grid(*groups):
-    """Each group of values times the common denominator L of them all, as
-    lists of ints, and L.
+    """The groups times one L > 0, and L.
 
-    The values are ``Fraction``s and ``int``s, read once in group order.
-    Returns None at the first value of another type, so a non-rational
-    field pays one type test, and None when L would pass
-    ``_GRID_MAX_BITS``.
+    When every value is a ``Fraction`` or an ``int`` and their common
+    denominator fits in ``_GRID_MAX_BITS``, L is that denominator and each
+    group comes back as a list of ints.  Otherwise L = 1 and the groups
+    come back as given, so a non-rational field pays one type test.
     """
     nums, dens = [], []
     for v in chain(*groups):
@@ -89,13 +88,13 @@ def _on_grid(*groups):
             nums.append(v)
             dens.append(1)
         else:
-            return None
+            return groups, 1
     distinct = list(set(dens))
     lcm = 1
     for k in range(0, len(distinct), _GRID_CHUNK):
         lcm = math.lcm(lcm, *distinct[k:k + _GRID_CHUNK])
         if lcm.bit_length() > _GRID_MAX_BITS:
-            return None
+            return groups, 1
     scale = {den: lcm // den for den in distinct}
     ints = [n * scale[den] for n, den in zip(nums, dens)]
     split, start = [], 0
@@ -847,7 +846,7 @@ class FieldSpec:
             if d is not None:
                 raise InputError("rational field takes no radicand")
         elif kind == "quadratic":
-            if d is None or not _is_squarefree(d):
+            if type(d) is not int or not _is_squarefree(d):
                 raise InputError("quadratic field needs a squarefree d > 1")
         else:
             raise InputError(f"unknown field kind {kind!r}")
@@ -892,11 +891,9 @@ class FieldSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
         kind = obj.get("kind")
-        if kind == "rational":
-            return cls.rational()
-        if kind == "quadratic":
-            return cls.quadratic(int(obj["d"]))
-        raise ScalarParseError(f"unknown field descriptor: {obj!r}")
+        if kind not in ("rational", "quadratic"):
+            raise ScalarParseError(f"unknown field descriptor: {obj!r}")
+        return cls(kind, obj.get("d"))
 
     def __eq__(self, other):
         return (

@@ -328,8 +328,9 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     Unique assignments are substituted directly; parametric outcomes are
     checked as identities in the free variables; an Inconsistent outcome
     verifies by re-deriving inconsistency.  Only nonzero coefficients are
-    visited.  Over Q a unique assignment V is put on an integer grid, V'
-    = V * L, and each row on its own, so sum c'V' = b'L is tested in ints.
+    visited.  A unique assignment V is put on a grid, V' = V * L, and each
+    row on its own, times its m, and sum c'V' = b'L is tested.  Over Q a
+    grid holds ints; otherwise its factor is 1 and it holds the values.
     """
     if isinstance(outcome, Inconsistent):
         return isinstance(gauss_jordan(system), Inconsistent)
@@ -338,24 +339,14 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     rows = zip(system.nonzeros, system.rhs)
     if isinstance(outcome, Unique):
         assignment = outcome.assignment
-        grid = _on_grid(assignment.values())
-        if grid is not None:
-            (values,), scale = grid
-            assigned = dict(zip(assignment, values))
+        (values,), scale = _on_grid(assignment.values())
+        assigned = dict(zip(assignment, values))
         for row, rhs in rows:
-            scaled = grid and _on_grid((*row.values(), rhs))
-            if scaled:
-                (coeffs,), _ = scaled
-                total = 0
-                for j, c in zip(row, coeffs):
-                    total += c * assigned[variables[j]]
-                if total != coeffs[-1] * scale:
-                    return False
-                continue
-            total = zero_like(rhs)
-            for j, c in row.items():
-                total = total + c * assignment[variables[j]]
-            if total != rhs:
+            (coeffs,), _ = _on_grid((*row.values(), rhs))
+            total = 0
+            for j, c in zip(row, coeffs):
+                total += c * assigned[variables[j]]
+            if total != coeffs[-1] * scale:
                 return False
         return True
 

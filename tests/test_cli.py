@@ -348,6 +348,20 @@ BOUNDARY_CASES = {
         ["lfs", "eval-cf", "{file}"], '{"c": ' + "[" * 100_000 + "]" * 100_000 + "}", 2),
     "sketch Infinity": (["solve", "{file}"], _tile(sketch=[0, 0, math.inf, 1]), 2),
     "sketch NaN": (["solve", "{file}"], _tile(sketch=[math.nan, 0, 1, 1]), 2),
+    # a fractional number, string or boolean where the format asks for an
+    # integer, and a string or boolean where it asks for a number, exited 0
+    "field radicand 2.5": (["solve", "{file}"],
+                           _dissection(field={"kind": "quadratic", "d": 2.5}), 2),
+    "field radicand a string": (["solve", "{file}"],
+                                _dissection(field={"kind": "quadratic", "d": "2"}), 2),
+    "rational field with a radicand": (["solve", "{file}"],
+                                       _dissection(field={"kind": "rational", "d": 5}), 2),
+    "ladder radicand 3.7": (["lfs", "eval-cf", "{file}"], json.dumps(
+        {"field": {"kind": "quadratic", "d": 3.7}, "R": "sqrt(3)", "c": ["1"]}), 2),
+    "tile id 1.9": (["solve", "{file}"], _tile(id=1.9), 2),
+    "tile id true": (["solve", "{file}"], _tile(id=True), 2),
+    "sketch of booleans and strings": (["solve", "{file}"],
+                                       _tile(sketch=[False, "0", True, "1"]), 2),
 }
 
 

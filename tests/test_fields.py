@@ -1,13 +1,16 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tilecircuit import (
     FieldSpec,
+    InputError,
     Poly,
     QuadExt,
     RatFunc,
@@ -22,7 +25,7 @@ from tilecircuit import (
     squarefree_check,
 )
 from tilecircuit.dissection import dump_dissection, load_dissection, solve_sizes
-from tilecircuit.fields import parse_symbolic_scalar
+from tilecircuit.fields import _GRID_MAX_BITS, _on_grid, parse_symbolic_scalar
 
 
 def test_rational_basics():
@@ -291,6 +294,20 @@ def test_loaded_dissection_deep_copies_and_pickles():
         assert solve_sizes(clone).ratio == solve_sizes(d).ratio
 
 
+@pytest.mark.parametrize("kind, d, message", [
+    ("quadratic", 2.5, "quadratic field needs a squarefree d > 1"),
+    ("quadratic", 2.0, "quadratic field needs a squarefree d > 1"),
+    ("quadratic", True, "quadratic field needs a squarefree d > 1"),
+    ("quadratic", "2", "quadratic field needs a squarefree d > 1"),
+    ("rational", 5, "rational field takes no radicand"),
+])
+def test_field_spec_takes_only_an_int_radicand(kind, d, message):
+    with pytest.raises(InputError, match=message):
+        FieldSpec(kind, d)
+    with pytest.raises(InputError, match=message):
+        FieldSpec.from_json({"kind": kind, "d": d})
+
+
 def test_squarefree_cache_stays_bounded():
     from tilecircuit import fields
 
@@ -298,3 +315,34 @@ def test_squarefree_cache_stays_bounded():
     for d in range(2, 2 + 3 * size):
         fields._is_squarefree(d)
     assert fields._is_squarefree.cache_info().currsize == size
+
+
+GRID_VALUES = {
+    "int": st.integers(-10**20, 10**20),
+    "Fraction": st.fractions(max_denominator=10**6),
+    "past the cap": st.builds(Fraction, st.integers(-9, 9), st.just(2**_GRID_MAX_BITS + 1)),
+    "bool": st.booleans(),
+    "QuadExt": st.builds(QuadExt, st.fractions(max_denominator=9),
+                         st.fractions(max_denominator=9), st.just(2)),
+    "RatFunc": st.builds(RatFunc.constant, st.fractions(max_denominator=9)),
+}
+
+
+@given(st.sets(st.sampled_from(sorted(GRID_VALUES)), min_size=1).flatmap(
+    lambda kinds: st.lists(st.lists(st.one_of(*(GRID_VALUES[k] for k in sorted(kinds))),
+                                    max_size=40), max_size=4)))
+def test_on_grid_scales_every_group_by_one_positive_constant(groups):
+    out, scale = _on_grid(*groups)
+    assert scale > 0
+    assert [len(group) for group in out] == [len(group) for group in groups]
+    for group, scaled in zip(groups, out):
+        assert all(v * scale == w for v, w in zip(group, scaled))
+    values = [v for group in groups for v in group]
+    rational = all(type(v) in (int, Fraction) for v in values)
+    common = math.lcm(*(Fraction(v).denominator for v in values)) if rational else None
+    fits = rational and common.bit_length() <= _GRID_MAX_BITS
+    assert all(type(w) is int for group in out for w in group) is fits
+    if fits:
+        assert scale == common
+    else:
+        assert scale == 1 and all(a is b for a, b in zip(out, groups))

@@ -48,6 +48,38 @@ def test_tampered_assignment_fails_verification():
     assert not substitute_and_verify(system, Unique(bad))
 
 
+ROOT2 = QuadExt(0, 1, 2)
+
+
+@pytest.mark.parametrize("change, verdict", [
+    (None, True),
+    ("value", False),
+    ("rhs", False),
+])
+@pytest.mark.parametrize("direction", ["rational rows", "Q(sqrt2) rows"])
+def test_substitution_mixes_a_grid_with_field_values(direction, change, verdict):
+    """One side of each row's test on an integer grid, the other in Q(sqrt 2).
+
+    Rational rows under a Q(sqrt 2) assignment are scaled by their own
+    denominators and the assignment is not; Q(sqrt 2) rows under a rational
+    assignment are the other way round.
+    """
+    if direction == "rational rows":
+        assignment = {"a": 1 + ROOT2, "b": 1 - ROOT2, "c": Fraction(3, 7)}
+        rows = [({0: 1, 1: 1}, Fraction(2)),
+                ({0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 3)}, Fraction(8, 7))]
+    else:
+        assignment = {"a": Fraction(1, 3), "b": Fraction(2, 5), "c": Fraction(-5, 11)}
+        rows = [({0: ROOT2, 1: 1 + ROOT2}, Fraction(2, 5) + ROOT2 * Fraction(11, 15)),
+                ({1: ROOT2 / 2, 2: 3}, Fraction(-15, 11) + ROOT2 / 5)]
+    if change == "value":
+        assignment["b"] += Fraction(1, 5)
+    elif change == "rhs":
+        rows[1] = (rows[1][0], rows[1][1] + Fraction(1, 9))
+    system = LinearSystem.from_sparse(("a", "b", "c"), rows, Fraction(0))
+    assert substitute_and_verify(system, Unique(assignment)) is verdict
+
+
 def test_parametric_example():
     # x1 + x2 = 0 and x1 + x3 = 1 leave x2 free: x1 = -x2, x3 = 1 + x2
     system = LinearSystem(

@@ -200,8 +200,11 @@ def coprime_tiling(columns, first_prime, move=None):
 def test_validate_matches_reference_past_the_grid_cap(move):
     d = coprime_tiling(300, first_prime=10**6, move=move)
     ys = [v for t in d.tiles for v in (t.rect[1], t.rect[3])]
-    assert _on_grid(ys) is None  # the y axis takes the capped fallback
-    assert _on_grid([t.rect[0] for t in d.tiles]) is not None
+    (same,), scale = _on_grid(ys)
+    assert same is ys and scale == 1  # the y axis passes the cap: as given
+    xs = [t.rect[0] for t in d.tiles]
+    (ints,), scale = _on_grid(xs)
+    assert all(type(x) is int for x in ints) and ints == [x * scale for x in xs]
     report = validate_geometric(d)
     assert report == ref.validate_geometric(d)
     assert report.ok is (move is None)
