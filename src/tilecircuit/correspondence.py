@@ -177,9 +177,17 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     network's local laws.  The grounded Laplacian is nonsingular, so then
     they are the flow: heights are currents, ``big_h`` the battery current,
     U / ``big_h`` the resistance.  The flow is solved only to name a mismatch.
+    A sized ``d`` must pass geometric validation, and each of its rects must
+    be the one its sketch sizes to.
     """
     sizing = solve_sizes(d)
     sized = sizing.sized
+    if d.is_sized:
+        validate_geometric(d).require()
+        for given, t in zip(d.tiles, sized.tiles):
+            if given.rect != t.rect:
+                raise DissectionError(
+                    f"tile {t.tid}'s rect is not the one its sketch sizes to")
     net = circuit_of_dissection(sized, sizing.cuts)
     u, heights = net.battery.voltage, {t.tid: t.rect[3] for t in sized.tiles}
     system = junction_system(sizing.cuts, sized.tiles, sized.field, sized.big_h)

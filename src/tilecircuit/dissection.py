@@ -11,9 +11,10 @@ normalized and each tile's horizontal side expressed through its aspect
 ratio.  These are Kirchhoff's laws for the network whose nodes are the
 vertical cuts and whose resistors are the tiles, so sizing is one grounded
 Laplacian solve: tile heights are the currents and cut x-coordinates the
-potentials, and cut y-coordinates are then propagated from the bottom.  The
-solved dissection carries exact coordinates and can be validated, tested
-for the all-squares/rational-ratio property, or rendered.
+potentials.  Each axis's cuts are then placed by one ordered pass from the
+left or bottom side.  The solved dissection carries exact coordinates and
+can be validated, tested for the all-squares/rational-ratio property, or
+rendered.
 
 Dissection file format (JSON)::
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .fields import FieldSpec, InputError, QuadExt, _on_grid, format_scalar
@@ -363,11 +363,12 @@ def solve_sizes(d: Dissection) -> SizingResult:
     otherwise).  Tile k is a resistor of conductance 1/aspect from its left
     vertical node to its right one; with potential 1 on the left side and 0
     on the right, the network conducts G, so scaling by U = big_h / G makes
-    the big horizontal side U, node x-coordinates (1 - V) * U and tile
-    heights the currents.  Cut y-coordinates are propagated from the
-    bottom, and the result is geometrically validated.  Four tiles meeting
-    at a point, nonpositive sides, and a contradicted declared width raise
-    ``SizingError``.
+    the big horizontal side U and tile heights the currents.  Each node and
+    cut is placed at the start of a tile ending on it plus that tile's
+    width or height; whichever tile reaches it, a node lands at
+    (1 - V) * U and a cut at one height.  The result is geometrically
+    validated.  Four tiles meeting at a point, nonpositive sides, and a
+    contradicted declared width raise ``SizingError``.
     """
     cs = extract_cuts(d)
     field = d.field
@@ -400,21 +401,15 @@ def solve_sizes(d: Dissection) -> SizingResult:
             f"width {format_scalar(x_val)}"
         )
 
-    cut_y = _propagate(
-        count=len(cs.h_cuts),
-        start=cs.bottom_cut,
-        zero=zero,
-        links=[(cs.tile_spans[tid][0], cs.tile_spans[tid][1], v[tid]) for tid in v],
-        what="horizontal cut",
-    )
-
+    node_x = _place([n.left_tiles for n in cs.v_nodes], cs.tile_ends, h, zero)
+    cut_y = _place([c.below_tiles for c in cs.h_cuts], cs.tile_spans, v, zero)
     tiles = tuple(
         Tile(
             t.tid,
             t.sketch,
             t.aspect,
             (
-                (field.one - potential[cs.tile_ends[t.tid][0]]) * x_val,
+                node_x[cs.tile_ends[t.tid][0]],
                 cut_y[cs.tile_spans[t.tid][0]],
                 h[t.tid],
                 v[t.tid],
@@ -430,26 +425,17 @@ def solve_sizes(d: Dissection) -> SizingResult:
     return SizingResult(sized, ratio, cs)
 
 
-def _propagate(count, start, zero, links, what):
-    """Assign positions along a chain of exact length links, checking agreement."""
-    pos = {start: zero}
-    adjacency: dict[int, list] = {}
-    for lo, hi, length in links:
-        adjacency.setdefault(lo, []).append((hi, length, 1))
-        adjacency.setdefault(hi, []).append((lo, length, -1))
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for other, length, sense in adjacency.get(cur, ()):
-            candidate = pos[cur] + length if sense > 0 else pos[cur] - length
-            if other in pos:
-                if pos[other] != candidate:
-                    raise SizingError(f"{what} positions are contradictory")
-            else:
-                pos[other] = candidate
-                queue.append(other)
-    if len(pos) != count:
-        raise SizingError(f"some {what} is unreachable from the boundary")
+def _place(ending, ends, size, zero) -> list:
+    """Positions of one axis's segments: segment 0, the left or bottom
+    boundary, at 0, and segment k at the start of ``ending[k][0]``, its
+    first ending tile, plus that tile's ``size``.  ``ends`` gives each tile's
+    (start, end) segment ids.  Segments are numbered by class and a tile
+    starts in a lower class than it ends, so one forward pass places every
+    start before it is read."""
+    pos = [zero]
+    for tiles in ending[1:]:
+        first = tiles[0]
+        pos.append(pos[ends[first][0]] + size[first])
     return pos
 
 

@@ -152,7 +152,7 @@ class QuadExt:
     __slots__ = ("_p", "_q", "_r", "d")
 
     def __init__(self, a, b, d: int):
-        if not _is_squarefree(d):
+        if type(d) is not int or not _is_squarefree(d):
             raise InputError(f"radicand must be a squarefree integer > 1, got {d}")
         a, b = _as_fraction(a), _as_fraction(b)
         r = math.lcm(a.denominator, b.denominator)

@@ -258,6 +258,41 @@ def test_to_circuit_refuses_a_sketch_that_contradicts_its_rects(tmp_path, capsys
     assert invoke(capsys, "--json", "to-circuit", str(path)) == (1, "", message)
 
 
+def _wall_q_sized_with_tile_1_at(rect):
+    wall = json.loads((DATA / "wall_q_sized.json").read_text(encoding="utf-8"))
+    wall["tiles"][0]["rect"] = rect
+    return json.dumps(wall)
+
+
+# equiv-check refuses a sized file whose rects are no tiling, as validate,
+# to-circuit and dehn-check do, and one whose rects tile the big rectangle
+# but are not the rects its sketch sizes to
+UNTRUSTED_RECTS = {
+    "wall_q_sized with tile 1 a unit square": (
+        _wall_q_sized_with_tile_1_at(["0", "0", "1", "1"]),
+        "error: dissection fails geometric validation: tile 1 violates its aspect "
+        "ratio; tile 1 leaves the big rectangle; "
+        + "".join(f"tiles 1 and {k} overlap; " for k in range(2, 37))
+        + "tile areas do not sum to the big rectangle's area\n"),
+    "two rows whose rects swap": (
+        _dissection(big={"w": "1", "h": "1"}, tiles=[
+            {"id": 1, "sketch": [0, 0, 2, 1], "aspect": "2",
+             "rect": ["0", "1/2", "1", "1/2"]},
+            {"id": 2, "sketch": [0, 1, 2, 1], "aspect": "2",
+             "rect": ["0", "0", "1", "1/2"]}]),
+        "error: tile 1's rect is not the one its sketch sizes to\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTRUSTED_RECTS))
+def test_equiv_check_trusts_no_rect(name, tmp_path, capsys):
+    content, message = UNTRUSTED_RECTS[name]
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert invoke(capsys, "equiv-check", str(path)) == (1, "", message)
+    assert invoke(capsys, "--json", "equiv-check", str(path)) == (1, "", message)
+
+
 def test_render_validates_a_sized_file(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(_squares([(0, 0), (1, 0)], rects=True, w="5", h="1"))

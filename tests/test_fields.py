@@ -58,8 +58,8 @@ def test_quadext_rejects_mixed_radicands():
 
 
 def test_quadext_requires_squarefree_radicand():
-    for bad in (0, 1, 4, 12, -2):
-        with pytest.raises(ValueError):
+    for bad in (0, 1, 4, 12, -2, 2.5, 2.0, "2", True):
+        with pytest.raises(InputError, match="radicand must be a squarefree integer > 1"):
             QuadExt(1, 1, bad)
 
 
