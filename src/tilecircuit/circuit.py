@@ -8,7 +8,8 @@ Laplacian kernel of ``linear``, which back-substitutes every node potential
 from V(plus) = U.  Each current is then a potential difference times a
 conductance, and the battery current is U times the conductance between
 the terminals.  ``kirchhoff_system`` assembles the current-law and cycle
-voltage-law equations as a square linear system for callers that want it.
+voltage-law equations as a square sparse linear system, one ``column ->
+coefficient`` row per equation, for callers that want it.
 
 Over Q(t) the network resistance is a rational function of the symbolic
 resistor value t.  By Kirchhoff's matrix-tree theorem it is
@@ -186,14 +187,12 @@ def kirchhoff_system(net: Netlist) -> LinearSystem:
     one = one_like(net.battery.voltage)
     zero = zero_like(net.battery.voltage)
     variables = tuple(f"I{r.rid}" for r in net.resistors) + ("I",)
-    var_index = {v: i for i, v in enumerate(variables)}
+    column = {("R", r.rid): idx for idx, r in enumerate(net.resistors)}
     rows = []
 
-    def blank():
-        return [zero] * len(variables)
-
     # current law: outgoing minus incoming vanishes at every kept node;
-    # incidences are listed in resistor order, a self-loop twice (+1, -1)
+    # incidences are listed in resistor order, a self-loop twice (+1, -1),
+    # and from_sparse drops the zero they leave
     incidence: dict[str, list] = {node: [] for node in net.nodes}
     for idx, r in enumerate(net.resistors):
         incidence[r.node_a].append((idx, one))
@@ -201,11 +200,11 @@ def kirchhoff_system(net: Netlist) -> LinearSystem:
     for node in net.nodes:
         if node == net.battery.minus:
             continue
-        coeffs = blank()
+        coeffs = {}
         for idx, sign in incidence[node]:
-            coeffs[idx] = coeffs[idx] + sign
+            coeffs[idx] = coeffs.get(idx, zero) + sign
         if net.battery.plus == node:
-            coeffs[var_index["I"]] = coeffs[var_index["I"]] - one
+            coeffs[len(net.resistors)] = zero - one
         rows.append((coeffs, zero))
 
     # voltage law around each fundamental cycle of the spanning tree: the
@@ -224,7 +223,7 @@ def kirchhoff_system(net: Netlist) -> LinearSystem:
                 (ekey, _, eb), up = parent[node]
                 senses[ekey] = senses.get(ekey, 0) + (step if eb == node else -step)
                 node = up
-        coeffs = blank()
+        coeffs = {}
         rhs = zero
         for ekey, sense in senses.items():
             if not sense:
@@ -233,10 +232,10 @@ def kirchhoff_system(net: Netlist) -> LinearSystem:
             if ekey == _BATTERY_KEY:
                 rhs = term
             else:
-                coeffs[var_index[f"I{ekey[1]}"]] = term
+                coeffs[column[ekey]] = term
         rows.append((coeffs, rhs))
 
-    return LinearSystem(variables, tuple(rows))
+    return LinearSystem.from_sparse(variables, rows, zero)
 
 
 def solve_flow(net: Netlist) -> FlowSolution:

@@ -180,14 +180,8 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     A sized ``d`` must pass geometric validation, and each of its rects must
     be the one its sketch sizes to.
     """
-    sizing = solve_sizes(d)
+    sizing = _sizing_of(d)
     sized = sizing.sized
-    if d.is_sized:
-        validate_geometric(d).require()
-        for given, t in zip(d.tiles, sized.tiles):
-            if given.rect != t.rect:
-                raise DissectionError(
-                    f"tile {t.tid}'s rect is not the one its sketch sizes to")
     net = circuit_of_dissection(sized, sizing.cuts)
     u, heights = net.battery.voltage, {t.tid: t.rect[3] for t in sized.tiles}
     system = junction_system(sizing.cuts, sized.tiles, sized.field, sized.big_h)
@@ -201,6 +195,22 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
             flow.edge_current, flow.battery_current, flow.total_resistance)
     tiles = tuple(TileCurrent(tid, h, currents[tid]) for tid, h in heights.items())
     return EquivalenceReport(tiles, battery, sized.big_h, resistance, sizing.ratio, agree)
+
+
+def _sizing_of(d: Dissection):
+    """``solve_sizes(d)``, refusing a sized ``d`` that is not its own sizing.
+
+    A ``d`` whose rects all match is the sizing, which ``solve_sizes`` has
+    validated, so ``d`` is validated only once a rect differs.
+    """
+    sizing = solve_sizes(d)
+    if d.is_sized:
+        for given, t in zip(d.tiles, sizing.sized.tiles):
+            if given.rect != t.rect:
+                validate_geometric(d).require()
+                raise DissectionError(
+                    f"tile {t.tid}'s rect is not the one its sketch sizes to")
+    return sizing
 
 
 def _obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
@@ -265,9 +275,10 @@ def theorem1_certificate(d: Dissection, ratio=None) -> IntPoly:
     tiles rectangles of ratio R^2 (the symbolic resistance t); if the
     resulting network resistance is p(t)/q(t), then q(x^2)*x - p(x^2) is a
     nonzero integer polynomial vanishing at R, which is verified exactly
-    before returning.
+    before returning.  A sized ``d`` must be the sizing of its sketch, as in
+    ``certify_equivalence``.
     """
-    sizing = solve_sizes(d)
+    sizing = _sizing_of(d)
     if sizing.ratio != one_like(sizing.ratio):
         raise CorrespondenceError("certificate needs a square dissection")
     r = ratio if ratio is not None else infer_ratio(d)

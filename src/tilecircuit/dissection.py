@@ -19,12 +19,13 @@ rendered.
 Dissection file format (JSON)::
 
     {"field": {"kind": "rational"} | {"kind": "quadratic", "d": 3},
-     "big": {"w": scalar-or-null, "h": scalar-or-null},
+     "big": {"w": scalar-or-null, "h": scalar-or-null} | null,
      "tiles": [{"id": 1, "sketch": [x, y, w, h], "aspect": scalar,
                 "rect": [x, y, w, h] | null}, ...]}
 
-where scalars use the shared textual syntax, sketch entries are plain
-JSON numbers, and ids and d are JSON integers (never booleans).
+where scalars are strings in the shared textual syntax (a rect is 4 of
+them), sketch entries are plain JSON numbers, and ids and d are JSON
+integers (never booleans).
 """
 
 from __future__ import annotations
@@ -599,9 +600,13 @@ def dissection_from_json(obj: dict) -> Dissection:
         )
     try:
         field = FieldSpec.from_json(obj["field"])
-        big = obj.get("big") or {}
-        big_w = field.parse(big["w"]) if big.get("w") else None
-        big_h = field.parse(big["h"]) if big.get("h") else None
+        big = obj.get("big")
+        if big is None:
+            big = {}
+        elif not isinstance(big, dict):
+            raise _MalformedDissection("big needs an object or null")
+        big_w, big_h = (_scalar_or_null(field, big.get(side), f"big {side}")
+                        for side in "wh")
         tiles = []
         for entry in obj["tiles"]:
             sketch = tuple(float(c) for c in entry["sketch"])
@@ -610,7 +615,9 @@ def dissection_from_json(obj: dict) -> Dissection:
             if len(sketch) != 4 or not numbers:
                 raise _MalformedDissection(f"{where} sketch needs 4 numbers")
             rect = entry.get("rect")
-            if rect and len(rect) != 4:
+            if rect is not None and not (
+                    type(rect) is list and len(rect) == 4
+                    and all(type(c) is str for c in rect)):
                 raise _MalformedDissection(f"{where} rect needs 4 scalars")
             tid = entry["id"]
             if type(tid) is not int:
@@ -620,7 +627,7 @@ def dissection_from_json(obj: dict) -> Dissection:
                     tid,
                     sketch,
                     field.parse(entry["aspect"]),
-                    tuple(field.parse(c) for c in rect) if rect else None,
+                    tuple(field.parse(c) for c in rect) if rect is not None else None,
                 )
             )
     except InputError:
@@ -632,6 +639,15 @@ def dissection_from_json(obj: dict) -> Dissection:
         if not all(math.isfinite(c) for c in t.sketch):
             raise _MalformedDissection(f"tile {t.tid} has a non-finite sketch coordinate")
     return d
+
+
+def _scalar_or_null(field: FieldSpec, value, what: str):
+    """A scalar string parsed in ``field``; None for null."""
+    if value is None:
+        return None
+    if type(value) is not str:
+        raise _MalformedDissection(f"{what} needs a scalar or null")
+    return field.parse(value)
 
 
 def read_json(text: str, malformed: type[InputError]):

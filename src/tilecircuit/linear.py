@@ -1,14 +1,14 @@
 """Exact sparse elimination over any of the scalar fields.
 
 The solver never approximates and never pivots for magnitude.  Systems are
-stored sparsely, one ``column -> nonzero`` dict per row beside a
-``column -> rows`` index, and solved in one pass that processes the rows in
-input order, each expressing one of its own unknowns (the first in variable
-order that it originally holds and that survives reduction).  So every
-outcome is fully deterministic, and it explicitly distinguishes the three
-possibilities: a unique assignment, a parametric family (free variables
-plus affine expressions for the bound ones), or inconsistency with the
-offending reduced row.
+stored sparsely, one ``column -> nonzero`` dict per row, and solved in one
+pass that processes the rows in input order, each expressing one of its own
+unknowns (the first in variable order that it originally holds and that
+survives reduction).  So every outcome is fully deterministic, and it
+explicitly distinguishes the three possibilities: a unique assignment, a
+parametric family (free variables plus affine expressions for the bound
+ones), or inconsistency with the offending reduced row.  ``gauss_jordan`` is
+the general solver of the API; no pipeline of the package calls it.
 
 Resistor networks, and through them the sizing of dissections, have a
 second, dedicated kernel: one elimination of a grounded weighted Laplacian
@@ -77,38 +77,22 @@ class LinearSystem:
         return hash((self.variables, self.rows))
 
 
+@dataclass(frozen=True)
 class AffineExpr:
-    """constant + sum of coeff * free-variable, used by parametric outcomes."""
+    """constant + sum of nonzero coeff * free-variable, for parametric outcomes."""
 
-    __slots__ = ("constant", "coeffs")
+    constant: object
+    coeffs: dict | None = None
 
-    def __init__(self, constant, coeffs=None):
-        object.__setattr__(self, "constant", constant)
-        clean = {}
-        for var, c in (coeffs or {}).items():
-            if c != zero_like(c):
-                clean[var] = c
+    def __post_init__(self):
+        clean = {var: c for var, c in (self.coeffs or {}).items() if c != zero_like(c)}
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineExpr is immutable")
-
-    def coefficient(self, var: str):
-        return self.coeffs.get(var, zero_like(self.constant))
 
     def eval(self, valuation):
         total = self.constant
         for var, c in self.coeffs.items():
             total = total + c * valuation[var]
         return total
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineExpr):
-            return NotImplemented
-        if self.constant != other.constant:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(k) == other.coefficient(k) for k in keys)
 
     def __repr__(self):
         parts = [f"{self.constant}"]
@@ -136,35 +120,6 @@ class Inconsistent:
 SolveOutcome = Unique | Parametric | Inconsistent
 
 
-def _column_index(rows, nvars: int) -> list[set]:
-    """column -> indices of the rows holding a nonzero there."""
-    col_rows = [set() for _ in range(nvars)]
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows[j].add(i)
-    return col_rows
-
-
-def _eliminate(target: dict, k: int, f, pivot_row: dict, pivot: int, col_rows):
-    """target -= f * pivot_row, keeping row k's entries in col_rows current."""
-    del target[pivot]
-    col_rows[pivot].discard(k)
-    for j, v in pivot_row.items():
-        if j == pivot:
-            continue
-        old = target.get(j)
-        if old is None:
-            target[j] = -(f * v)
-            col_rows[j].add(k)
-        else:
-            new = old - f * v
-            if new:
-                target[j] = new
-            else:
-                del target[j]
-                col_rows[j].discard(k)
-
-
 def gauss_jordan(system: LinearSystem) -> SolveOutcome:
     """Exact input-order Gauss-Jordan elimination on the sparse rows.
 
@@ -181,7 +136,6 @@ def gauss_jordan(system: LinearSystem) -> SolveOutcome:
     original = system.nonzeros
     rows = [dict(row) for row in original]
     rhs = list(system.rhs)
-    col_rows = _column_index(rows, nvars)
     pivot_row_of_var: dict[int, int] = {}
 
     for i, row in enumerate(rows):
@@ -193,15 +147,20 @@ def gauss_jordan(system: LinearSystem) -> SolveOutcome:
         kept = original[i].keys() & row.keys()
         pivot = min(kept) if kept else min(row)
         p = row[pivot]
-        row = {j: c / p for j, c in row.items()}
+        # the pivot's own entry, 1, is left out: no other row keeps its column
+        row = {j: c / p for j, c in row.items() if j != pivot}
         rows[i] = row
         b = rhs[i] = rhs[i] / p
-        for k in list(col_rows[pivot]):
-            if k == i:
+        for k, target in enumerate(rows):
+            f = target.pop(pivot, None)
+            if f is None:
                 continue
-            target = rows[k]
-            f = target[pivot]
-            _eliminate(target, k, f, row, pivot, col_rows)
+            for j, v in row.items():
+                new = target[j] - f * v if j in target else -(f * v)
+                if new:
+                    target[j] = new
+                else:
+                    del target[j]
             rhs[k] = rhs[k] - f * b
         pivot_row_of_var[pivot] = i
 
@@ -210,10 +169,8 @@ def gauss_jordan(system: LinearSystem) -> SolveOutcome:
     free = tuple(variables[j] for j in range(nvars) if j not in pivot_row_of_var)
     bound = {}
     for j, i in pivot_row_of_var.items():
-        expr_coeffs = {
-            variables[k]: -c for k, c in sorted(rows[i].items()) if k != j
-        }
-        bound[variables[j]] = AffineExpr(rhs[i], expr_coeffs)
+        coeffs = {variables[k]: -c for k, c in sorted(rows[i].items())}
+        bound[variables[j]] = AffineExpr(rhs[i], coeffs)
     return Parametric(free, bound)
 
 

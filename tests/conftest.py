@@ -1,8 +1,10 @@
 """Shared fixture corpus and independent oracles for the test suite."""
 
 import contextlib
+import importlib.util
 import operator
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,6 +228,16 @@ def tilings():
         load_ladder((DATA / "ladder_sqrt3.json").read_text())
     )
     return tilings
+
+
+def perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's seeded input generators."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextlib.contextmanager

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tilecircuit import FieldSpec, format_scalar
 from tilecircuit.cli import _attach_signed_values, build_parser, run
 
 DATA = Path(__file__).parent / "data"
@@ -291,6 +292,75 @@ def test_equiv_check_trusts_no_rect(name, tmp_path, capsys):
     path.write_text(content)
     assert invoke(capsys, "equiv-check", str(path)) == (1, "", message)
     assert invoke(capsys, "--json", "equiv-check", str(path)) == (1, "", message)
+
+
+def test_theorem1_trusts_no_rect(tmp_path, capsys):
+    content, message = UNTRUSTED_RECTS["two rows whose rects swap"]
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert invoke(capsys, "theorem1", str(path)) == (1, "", message)
+    assert invoke(capsys, "--json", "theorem1", str(path)) == (1, "", message)
+
+
+# five_similar.json solved with --out, then one rect changed by the tile id,
+# the rect entry and the amount added to it; theorem1 printed the
+# certificate of the sketch, F(x) = 2*x^3 - 6*x^2 + 3*x, for both
+TAMPERED_FIVE_SIMILAR = {
+    "tile 3 taller by 1/9": (
+        3, 3, "1/9",
+        "error: dissection fails geometric validation: tile 3 violates its aspect "
+        "ratio; tiles 3 and 5 overlap; tile areas do not sum to the big "
+        "rectangle's area\n"),
+    "tile 1 moved right by 1/7": (
+        1, 0, "1/7",
+        "error: dissection fails geometric validation: tiles 1 and 2 overlap\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_FIVE_SIMILAR))
+def test_theorem1_refuses_a_tampered_sized_file(name, tmp_path, capsys):
+    tid, entry, amount, message = TAMPERED_FIVE_SIMILAR[name]
+    solved = tmp_path / "solved.json"
+    assert invoke(capsys, "solve", str(DATA / "five_similar.json"),
+                  "--out", str(solved))[0] == 0
+    code, out, _ = invoke(capsys, "theorem1", str(solved))
+    assert (code, out.splitlines()[0]) == (0, "F(x) = 2*x^3 - 6*x^2 + 3*x")
+    obj = json.loads(solved.read_text())
+    field = FieldSpec.from_json(obj["field"])
+    rect = next(t["rect"] for t in obj["tiles"] if t["id"] == tid)
+    rect[entry] = format_scalar(field.parse(rect[entry]) + field.parse(amount))
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    assert invoke(capsys, "theorem1", str(path)) == (1, "", message)
+    assert invoke(capsys, "--json", "theorem1", str(path)) == (1, "", message)
+
+
+# a big side or a rect that is falsy but not null was read as absent, and a
+# big side that is a JSON number stopped on "'int' object has no attribute"
+FALSY_BIG_AND_RECT = {
+    "big w 0": (_dissection(big={"w": 0, "h": "1"}), "big w needs a scalar or null"),
+    "big w 2": (_dissection(big={"w": 2, "h": "1"}), "big w needs a scalar or null"),
+    "big h false": (_dissection(big={"w": "1", "h": False}),
+                    "big h needs a scalar or null"),
+    "big w an empty string": (_dissection(big={"w": "", "h": "1"}),
+                              "not a rational scalar: ''"),
+    "big an empty list": (_dissection(big=[]), "big needs an object or null"),
+    "big 0": (_dissection(big=0), "big needs an object or null"),
+    "rect an empty list": (_tile(rect=[]), "tile 1 rect needs 4 scalars"),
+    "rect false": (_tile(rect=False), "tile 1 rect needs 4 scalars"),
+    "rect a string of 4 characters": (_tile(rect="0011"), "tile 1 rect needs 4 scalars"),
+    "rect of 4 numbers": (_tile(rect=[0, 0, 1, 1]), "tile 1 rect needs 4 scalars"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALSY_BIG_AND_RECT))
+def test_falsy_big_sides_and_rects_are_malformed(name, tmp_path, capsys):
+    content, message = FALSY_BIG_AND_RECT[name]
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    for command in ("solve", "validate"):
+        assert invoke(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+        assert invoke(capsys, "--json", command, str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_render_validates_a_sized_file(tmp_path, capsys):

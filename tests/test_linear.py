@@ -366,3 +366,25 @@ def test_laplacian_potentials_solve_the_nodal_equations(field, seed):
 def test_laplacian_potentials_free_node_joined_to_neither_terminal_is_an_internal_error(g):
     with pytest.raises(ArithmeticError, match="nonpositive Laplacian pivot"):
         laplacian_potentials([("a", "b", g), ("c", "d", g)], "a", "b", g)
+
+
+def test_affine_expr_drops_zero_coefficients_and_is_frozen():
+    half, two = Fraction(1, 2), Fraction(2)
+    expr = AffineExpr(half, {"a": Fraction(0), "b": -two, "c": QuadExt(0, 0, 2)})
+    assert expr.constant == half
+    assert expr.coeffs == {"b": -two}
+    # equality ignores zero coefficients, not nonzero ones or the constant
+    assert expr == AffineExpr(half, {"b": -two}) == AffineExpr(half, {"d": 0, "b": -two})
+    assert expr != AffineExpr(half, {"b": two})
+    assert expr != AffineExpr(two, {"b": -two})
+    assert AffineExpr(two) == AffineExpr(two, {"a": Fraction(0)})
+    assert AffineExpr(two).coeffs == {}
+    with pytest.raises(AttributeError):
+        expr.constant = two
+    with pytest.raises(AttributeError):
+        expr.coeffs = {}
+    assert repr(expr) == "1/2 + (-2)*b"
+    assert repr(AffineExpr(two)) == "2"
+    assert repr(AffineExpr(half, {"x2": Fraction(1), "x3": Fraction(-1, 3)})) == (
+        "1/2 + (1)*x2 + (-1/3)*x3")
+    assert expr.eval({"b": Fraction(1, 4)}) == 0
