@@ -221,8 +221,10 @@ def _obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
     every node, each tile obeys Ohm's law (its potential drop, its width w,
     is height times resistance), and each node gets one potential from the
     battery (x = 0 at plus, x = U at minus) and every tile touching it.
-    The currents and the positions are each put on a grid, times an L > 0;
-    over Q both grids are ints, so only Ohm's law runs in the field.
+    The currents and the positions are each put on a grid, times an L > 0:
+    ints over Q, elements p + q*sqrt(d) of Z[sqrt d] over Q(sqrt d), whose
+    sums run on ints.  Conservation and positions are linear, so they hold
+    exactly when they hold on the grid; only Ohm's law runs in the field.
     """
     u = net.battery.voltage
     plus, minus = net.battery.plus, net.battery.minus
@@ -481,8 +483,13 @@ def ladder_from_json(obj: dict) -> LadderSpec:
         )
     try:
         field = FieldSpec.from_json(obj["field"])
-        ratio = field.parse(obj["R"])
-        coeffs = tuple(parse_rational(c) for c in obj["c"])
+        ratio, coeffs = obj["R"], obj["c"]
+        if type(ratio) is not str:
+            raise _MalformedLadder("R needs a scalar")
+        if type(coeffs) is not list or not all(type(c) is str for c in coeffs):
+            raise _MalformedLadder("c needs a list of scalars")
+        ratio = field.parse(ratio)
+        coeffs = tuple(parse_rational(c) for c in coeffs)
     except InputError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

@@ -35,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .fields import FieldSpec, InputError, QuadExt, _on_grid, format_scalar
+from .fields import FieldSpec, InputError, QuadExt, _on_grid, _order_keys, format_scalar
 from .linear import (
     LinearSystem,
     gauss_jordan,  # noqa: F401  a module-level name that perfbench/spans.py wraps
@@ -461,7 +461,9 @@ def validate_geometric(d: Dissection) -> ValidationReport:
     containment and overlap tests compare ints.  Each axis is first put on
     its own grid, times a constant L > 0, which keeps order, equality and
     sums.  Over Q, L is the common denominator, so the edges, ranks and the
-    area identity run on ints too; only the aspect check reads the field.
+    area identity run on ints too.  Over Q(sqrt d) the grid holds elements
+    of Z[sqrt d], which are ranked by their exact int order keys and summed
+    on ints.  Only the aspect check reads the field.
     """
     if not d.is_sized:
         raise DissectionError("validate_geometric needs exact rectangles and big sides")
@@ -500,7 +502,9 @@ def _axis(big, starts, sizes):
 
 
 def _ranks(values) -> list[int]:
-    """Each value's rank among the distinct values, by one sort."""
+    """Each value's rank among the distinct values, by one sort of their
+    order keys."""
+    values = _order_keys(values)
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0] * len(values)
     for prev, k in zip(order, order[1:]):
@@ -622,11 +626,14 @@ def dissection_from_json(obj: dict) -> Dissection:
             tid = entry["id"]
             if type(tid) is not int:
                 raise _MalformedDissection(f"tile id {json.dumps(tid)} is not an integer")
+            aspect = entry["aspect"]
+            if type(aspect) is not str:
+                raise _MalformedDissection(f"{where} aspect needs a scalar")
             tiles.append(
                 Tile(
                     tid,
                     sketch,
-                    field.parse(entry["aspect"]),
+                    field.parse(aspect),
                     tuple(field.parse(c) for c in rect) if rect is not None else None,
                 )
             )

@@ -28,9 +28,13 @@ The certificate's checks put their values on a grid (the private
 ``_on_grid``): times one L > 0, which keeps order, equality and sums.  Over
 Q, L is the common denominator and each ``Fraction`` and ``int`` becomes an
 int, as Brooks, Smith, Stone and Tutte (Duke Math. J. 1940) scale a
-rational squared rectangle to integer sides.  Any other scalar, or an L
-past 4,096 bits, where pairwise coprime denominators would make the grid
-quadratic, gives L = 1 and the values as given.
+rational squared rectangle to integer sides.  Over one Q(sqrt(d)), L is
+the lcm of the triples' r and each value becomes an element p + q*sqrt(d)
+of Z[sqrt(d)] (the private ``_IntQuad``), whose sums and products run on
+ints with no gcd; ``_order_keys`` maps such elements to ints in the same
+exact order, so a sort compares ints.  Any other scalar, mixed radicands,
+or an L past 4,096 bits, where pairwise coprime denominators would make
+the grid quadratic, gives L = 1 and the values as given.
 
 Scalars have a textual syntax used by every file format: a rational is
 ``p/q`` or ``p``; a quadratic element is ``a/b + c/e*sqrt(d)`` with either
@@ -76,8 +80,11 @@ def _on_grid(*groups):
 
     When every value is a ``Fraction`` or an ``int`` and their common
     denominator fits in ``_GRID_MAX_BITS``, L is that denominator and each
-    group comes back as a list of ints.  Otherwise L = 1 and the groups
-    come back as given, so a non-rational field pays one type test.
+    group comes back as a list of ints.  When the values are ``QuadExt``
+    elements of one radicand d, mixed with ``Fraction`` and ``int``, and
+    the lcm of their triples' r fits, L is that lcm and each group comes
+    back as a list of ``_IntQuad``, elements of Z[sqrt(d)].  Otherwise
+    L = 1 and the groups come back as given.
     """
     nums, dens = [], []
     for v in chain(*groups):
@@ -88,7 +95,7 @@ def _on_grid(*groups):
             nums.append(v)
             dens.append(1)
         else:
-            return groups, 1
+            return _on_quad_grid(groups)
     distinct = list(set(dens))
     lcm = 1
     for k in range(0, len(distinct), _GRID_CHUNK):
@@ -102,6 +109,136 @@ def _on_grid(*groups):
         split.append(ints[start:start + len(group)])
         start += len(group)
     return split, lcm
+
+
+def _on_quad_grid(groups):
+    """``_on_grid`` past a value that is not a ``Fraction`` or an ``int``:
+    the rational grid's steps over the triples (p, q, r) of one radicand."""
+    triples, d = [], None
+    for v in chain(*groups):
+        if type(v) is QuadExt:
+            if d is None:
+                d = v.d
+            elif v.d != d:
+                return groups, 1
+            triples.append((v._p, v._q, v._r))
+        elif type(v) is Fraction:
+            triples.append((v._numerator, 0, v._denominator))
+        elif type(v) is int:
+            triples.append((v, 0, 1))
+        else:
+            return groups, 1
+    distinct = list({r for _, _, r in triples})
+    lcm = 1
+    for k in range(0, len(distinct), _GRID_CHUNK):
+        lcm = math.lcm(lcm, *distinct[k:k + _GRID_CHUNK])
+        if lcm.bit_length() > _GRID_MAX_BITS:
+            return groups, 1
+    scale = {r: lcm // r for r in distinct}
+    values = [_IntQuad(p * scale[r], q * scale[r], d) for p, q, r in triples]
+    split, start = [], 0
+    for group in groups:
+        split.append(values[start:start + len(group)])
+        start += len(group)
+    return split, lcm
+
+
+class _IntQuad:
+    """An element p + q*sqrt(d) of Z[sqrt(d)], with int p and q: a value on
+    a ``QuadExt`` grid (``_on_grid``).
+
+    Sums, negation and products with ints and with elements of the same
+    radicand stay in Z[sqrt(d)] and run on ints, with no gcd.  Any other
+    operand, an element of another radicand included, meets the
+    ``QuadExt`` this value equals, so mixed input keeps the field's results
+    and errors.  Order is read through ``_order_keys``.
+    """
+
+    __slots__ = ("p", "q", "d")
+
+    def __init__(self, p: int, q: int, d: int):
+        self.p, self.q, self.d = p, q, d
+
+    def _field(self) -> QuadExt:
+        return _reduced(self.p, self.q, 1, self.d)
+
+    def __add__(self, other):
+        if type(other) is _IntQuad and other.d == self.d:
+            return _IntQuad(self.p + other.p, self.q + other.q, self.d)
+        if type(other) is int:
+            return _IntQuad(self.p + other, self.q, self.d)
+        return self._field() + other
+
+    def __radd__(self, other):
+        if type(other) is int:
+            return _IntQuad(other + self.p, self.q, self.d)
+        return other + self._field()
+
+    def __sub__(self, other):
+        if type(other) is _IntQuad and other.d == self.d:
+            return _IntQuad(self.p - other.p, self.q - other.q, self.d)
+        if type(other) is int:
+            return _IntQuad(self.p - other, self.q, self.d)
+        return self._field() - other
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return _IntQuad(other - self.p, -self.q, self.d)
+        return other - self._field()
+
+    def __mul__(self, other):
+        p, q, d = self.p, self.q, self.d
+        if type(other) is _IntQuad and other.d == d:
+            op, oq = other.p, other.q
+            return _IntQuad(p * op + q * oq * d, p * oq + q * op, d)
+        if type(other) is int:
+            return _IntQuad(p * other, q * other, d)
+        return self._field() * other
+
+    def __rmul__(self, other):
+        if type(other) is int:
+            return _IntQuad(other * self.p, other * self.q, self.d)
+        return other * self._field()
+
+    def __neg__(self):
+        return _IntQuad(-self.p, -self.q, self.d)
+
+    def __eq__(self, other):
+        if type(other) is _IntQuad and other.d == self.d:
+            return self.p == other.p and self.q == other.q
+        if type(other) is int:
+            return self.q == 0 and self.p == other
+        return self._field() == other
+
+    def __bool__(self):
+        return self.p != 0 or self.q != 0
+
+    def __repr__(self):
+        return f"_IntQuad({self.p}, {self.q}, d={self.d})"
+
+
+def _order_keys(values: list) -> list:
+    """Ints that order ``values`` exactly: equal where the values are equal,
+    and in their order where they differ.
+
+    ``values`` are one grid's: ints, or ``_IntQuad`` of one radicand and
+    ints; a list with no ``_IntQuad`` comes back as given.  Over Z[sqrt(d)]
+    the key of v = p + q*sqrt(d) is p*2^k + q*s, where s = floor(2^k sqrt(d))
+    is one ``math.isqrt`` for the whole list, so the key is 2^k v - q*t for
+    one t in [0, 1).  Two distinct values differ by some e = u + w*sqrt(d)
+    with |u|, |w| <= 2M, for M the largest |p| or |q|, and the norm of e is
+    a nonzero integer, so |e| >= 1 / |u - w*sqrt(d)| >= 1 / (2M(1 + sqrt(d))).
+    With 2^k >= 4M^2 (1 + sqrt(d)), 2^k |e| >= 2M >= |w| > |w| t, so their
+    keys differ by 2^k e - w*t, which has the sign of e.
+    """
+    if _IntQuad not in set(map(type, values)):
+        return values
+    pairs = [(v.p, v.q) if type(v) is _IntQuad else (v, 0) for v in values]
+    m = max(max(abs(p), abs(q)) for p, q in pairs)
+    d = next(v.d for v in values if type(v) is _IntQuad)
+    k = (4 * m * m * (math.isqrt(d) + 2)).bit_length()
+    s = math.isqrt(d << 2 * k)
+    return [(p << k) + q * s for p, q in pairs]
 
 
 _MAX_RADICAND = 10**10

@@ -287,7 +287,8 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     verifies by re-deriving inconsistency.  Only nonzero coefficients are
     visited.  A unique assignment V is put on a grid, V' = V * L, and each
     row on its own, times its m, and sum c'V' = b'L is tested.  Over Q a
-    grid holds ints; otherwise its factor is 1 and it holds the values.
+    grid holds ints, over Q(sqrt d) elements of Z[sqrt d] whose products
+    and sums run on ints; otherwise its factor is 1 and it holds the values.
     """
     if isinstance(outcome, Inconsistent):
         return isinstance(gauss_jordan(system), Inconsistent)

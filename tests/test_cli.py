@@ -363,6 +363,44 @@ def test_falsy_big_sides_and_rects_are_malformed(name, tmp_path, capsys):
         assert invoke(capsys, "--json", command, str(path)) == (2, "", f"error: {message}\n")
 
 
+def _ladder(**overrides):
+    obj = {"field": {"kind": "rational"}, "R": "1/2", "c": ["1", "2"]}
+    obj.update(overrides)
+    return json.dumps(obj)
+
+
+# an aspect, R or c entry that is not a string stopped on "'int' object has
+# no attribute 'split'", a c that is not a list on "... is not iterable",
+# and a string c was read digit by digit (exit 1, "3/2 (not 1)")
+UNTYPED_SCALARS = {
+    "aspect 1": (_tile(aspect=1), "tile 1 aspect needs a scalar"),
+    "aspect null": (_tile(aspect=None), "tile 1 aspect needs a scalar"),
+    "aspect a list": (_tile(aspect=["1"]), "tile 1 aspect needs a scalar"),
+    "R 1": (_ladder(R=1), "R needs a scalar"),
+    "R null": (_ladder(R=None), "R needs a scalar"),
+    "c of numbers": (_ladder(c=[1, 2]), "c needs a list of scalars"),
+    "c a string of digits": (_ladder(c="12"), "c needs a list of scalars"),
+    "c 5": (_ladder(c=5), "c needs a list of scalars"),
+    "c an object": (_ladder(c={"1": "2"}), "c needs a list of scalars"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTYPED_SCALARS))
+def test_scalars_that_are_not_strings_are_malformed(name, tmp_path, capsys):
+    content, message = UNTYPED_SCALARS[name]
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    if name.startswith("aspect"):
+        commands = [["solve", str(path)], ["validate", str(path)]]
+    else:
+        commands = [["lfs", "eval-cf", str(path)],
+                    ["lfs", "build", str(path), "--out", str(tmp_path / "out.json")]]
+    for argv in commands:
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert invoke(capsys, "--json", *argv) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_render_validates_a_sized_file(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(_squares([(0, 0), (1, 0)], rects=True, w="5", h="1"))

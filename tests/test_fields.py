@@ -25,7 +25,7 @@ from tilecircuit import (
     squarefree_check,
 )
 from tilecircuit.dissection import dump_dissection, load_dissection, solve_sizes
-from tilecircuit.fields import _GRID_MAX_BITS, _on_grid, parse_symbolic_scalar
+from tilecircuit.fields import _GRID_MAX_BITS, _IntQuad, _on_grid, parse_symbolic_scalar
 
 
 def test_rational_basics():
@@ -324,25 +324,46 @@ GRID_VALUES = {
     "bool": st.booleans(),
     "QuadExt": st.builds(QuadExt, st.fractions(max_denominator=9),
                          st.fractions(max_denominator=9), st.just(2)),
+    "QuadExt past the cap": st.builds(
+        QuadExt, st.fractions(max_denominator=9),
+        st.builds(Fraction, st.integers(-9, 9), st.just(2**_GRID_MAX_BITS + 1)), st.just(2)),
+    "QuadExt sqrt 3": st.builds(QuadExt, st.fractions(max_denominator=9),
+                                st.fractions(max_denominator=9), st.just(3)),
     "RatFunc": st.builds(RatFunc.constant, st.fractions(max_denominator=9)),
 }
+
+
+def _components(v) -> tuple[Fraction, Fraction]:
+    """(a, b) of a + b*sqrt(d) for an int, a Fraction or a QuadExt."""
+    if isinstance(v, QuadExt):
+        return v.a, v.b
+    return Fraction(v), Fraction(0)
 
 
 @given(st.sets(st.sampled_from(sorted(GRID_VALUES)), min_size=1).flatmap(
     lambda kinds: st.lists(st.lists(st.one_of(*(GRID_VALUES[k] for k in sorted(kinds))),
                                     max_size=40), max_size=4)))
 def test_on_grid_scales_every_group_by_one_positive_constant(groups):
+    """Over Q the grid holds ints, over one Q(sqrt d) elements p + q*sqrt(d)
+    of Z[sqrt d]; either way v * L exactly, with L the lcm of the values'
+    denominators (a QuadExt's r).  Anything else gives L = 1."""
     out, scale = _on_grid(*groups)
     assert scale > 0
     assert [len(group) for group in out] == [len(group) for group in groups]
-    for group, scaled in zip(groups, out):
-        assert all(v * scale == w for v, w in zip(group, scaled))
     values = [v for group in groups for v in group]
-    rational = all(type(v) in (int, Fraction) for v in values)
-    common = math.lcm(*(Fraction(v).denominator for v in values)) if rational else None
-    fits = rational and common.bit_length() <= _GRID_MAX_BITS
-    assert all(type(w) is int for group in out for w in group) is fits
-    if fits:
+    radicands = {v.d for v in values if type(v) is QuadExt}
+    exact = all(type(v) in (int, Fraction, QuadExt) for v in values) and len(radicands) <= 1
+    common = math.lcm(*(c.denominator for v in values for c in _components(v))) if exact else None
+    if exact and common.bit_length() <= _GRID_MAX_BITS:
         assert scale == common
+        for group, scaled in zip(groups, out):
+            for v, w in zip(group, scaled):
+                if radicands:
+                    assert type(w) is _IntQuad and w.d in radicands
+                    assert (w.p, w.q) == _components(v * scale)
+                    assert type(w.p) is int and type(w.q) is int
+                else:
+                    assert type(w) is int and w == v * scale
+                assert v * scale == w
     else:
         assert scale == 1 and all(a is b for a, b in zip(out, groups))

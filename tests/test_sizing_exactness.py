@@ -18,7 +18,9 @@ Laplacian elimination once, for the sizing, and never again for the flow.
 """
 
 import dataclasses
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +34,7 @@ from tilecircuit import (
     FieldSpec,
     Inconsistent,
     Parametric,
+    QuadExt,
     SizingError,
     Tile,
     certify_equivalence,
@@ -290,8 +293,31 @@ def test_one_laplacian_elimination_per_wall_certificate(field, data):
                           for tid, rect in enumerate(rects, 1)])
     try:
         solve_sizes(d)
-    except SizingError:
-        assume(False)
+    except DissectionError as exc:
+        # a brick thinner than the sketch tolerance collapses: ROADMAP item
+        # 14, pinned by test_a_wall_with_a_thin_brick_sizes
+        if isinstance(exc, SizingError) or COLLAPSE.fullmatch(str(exc)):
+            assume(False)
+        raise
     with counted_eliminations() as calls:
         assert certify_equivalence(d).ok
     assert len(calls) == 1
+
+
+COLLAPSE = re.compile(r"tile \d+ collapses at sketch tolerance")
+# the width of a brick that the wall strategy drew over Q(sqrt 2): about
+# 1.5e-6, below the float sketch's tolerance on a wall 2 wide
+THIN_BRICK = QuadExt(Fraction(370281, 191816), Fraction(-65457, 47954), 2)
+
+
+@pytest.mark.xfail(raises=DissectionError, strict=True,
+                   reason="the float sketch collapses the brick (ROADMAP item 14)")
+def test_a_wall_with_a_thin_brick_sizes():
+    spec = FieldSpec.quadratic(2)
+    width = spec.one * 2
+    rects = [(spec.zero, spec.zero, width - THIN_BRICK, spec.one),
+             (width - THIN_BRICK, spec.zero, THIN_BRICK, spec.one)]
+    d = Dissection(spec, [Tile(tid, tuple(float(c) for c in rect), rect[2] / rect[3])
+                          for tid, rect in enumerate(rects, 1)])
+    sizing = solve_sizes(d)
+    assert [t.rect for t in sizing.sized.tiles] == rects
