@@ -317,7 +317,9 @@ def junction_system(
     zero = field.zero
     if vertical_side is None:
         vertical_side = one
-    aspect = {t.tid: t.aspect for t in tiles}
+    # a first coefficient is stored as it is, so lift an int or Fraction aspect
+    kind = type(zero)
+    aspect = {t.tid: t.aspect if type(t.aspect) is kind else zero + t.aspect for t in tiles}
     order = sorted(aspect)
     variables = tuple(f"v{tid}" for tid in order) + ("x",)
     column = {tid: k for k, tid in enumerate(order)}
@@ -328,9 +330,11 @@ def junction_system(
         """Append sum of weight over plus tiles - sum over minus tiles = rhs."""
         coeffs = {}
         for tid in plus:
-            coeffs[column[tid]] = coeffs.get(column[tid], zero) + weight[tid]
+            k, w = column[tid], weight[tid]
+            coeffs[k] = coeffs[k] + w if k in coeffs else w
         for tid in minus:
-            coeffs[column[tid]] = coeffs.get(column[tid], zero) - weight[tid]
+            k, w = column[tid], weight[tid]
+            coeffs[k] = coeffs[k] - w if k in coeffs else -w
         rows.append((coeffs, rhs))
         return coeffs
 
@@ -364,9 +368,10 @@ def solve_sizes(d: Dissection) -> SizingResult:
     otherwise).  Tile k is a resistor of conductance 1/aspect from its left
     vertical node to its right one; with potential 1 on the left side and 0
     on the right, the network conducts G, so scaling by U = big_h / G makes
-    the big horizontal side U and tile heights the currents.  Each node and
-    cut is placed at the start of a tile ending on it plus that tile's
-    width or height; whichever tile reaches it, a node lands at
+    the big horizontal side U, each tile's horizontal side its potential
+    drop times U, and its vertical side that times 1/aspect, its current.
+    Each node and cut is placed at the start of a tile ending on it plus
+    that tile's width or height; whichever tile reaches it, a node lands at
     (1 - V) * U and a cut at one height.  The result is geometrically
     validated.  Four tiles meeting at a point, nonpositive sides, and a
     contradicted declared width raise ``SizingError``.
@@ -387,11 +392,11 @@ def solve_sizes(d: Dissection) -> SizingResult:
         cs.left_boundary, cs.right_boundary, field.one,
     )
     x_val = normalization / conductance
-    v = {}
+    h, v = {}, {}
     for tid, gt in g.items():
         left, right = cs.tile_ends[tid]
-        v[tid] = (potential[left] - potential[right]) * gt * x_val
-    h = {t.tid: t.aspect * v[t.tid] for t in d.tiles}
+        h[tid] = (potential[left] - potential[right]) * x_val
+        v[tid] = h[tid] * gt  # aspect * g = 1, so the width is aspect * height
     zero = field.zero
     for tid, side in v.items():
         if not side > zero:
@@ -611,13 +616,17 @@ def dissection_from_json(obj: dict) -> Dissection:
             raise _MalformedDissection("big needs an object or null")
         big_w, big_h = (_scalar_or_null(field, big.get(side), f"big {side}")
                         for side in "wh")
+        entries = obj["tiles"]
+        if type(entries) is not list or not all(isinstance(e, dict) for e in entries):
+            raise _MalformedDissection("tiles needs a list of tile objects")
         tiles = []
-        for entry in obj["tiles"]:
-            sketch = tuple(float(c) for c in entry["sketch"])
+        for entry in entries:
             where = f"tile {entry.get('id')}"
-            numbers = all(type(c) in (int, float) for c in entry["sketch"])
-            if len(sketch) != 4 or not numbers:
+            sketch = entry["sketch"]
+            if not (type(sketch) is list and len(sketch) == 4
+                    and all(type(c) in (int, float) for c in sketch)):
                 raise _MalformedDissection(f"{where} sketch needs 4 numbers")
+            sketch = tuple(float(c) for c in sketch)
             rect = entry.get("rect")
             if rect is not None and not (
                     type(rect) is list and len(rect) == 4

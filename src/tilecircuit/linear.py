@@ -12,7 +12,10 @@ the general solver of the API; no pipeline of the package calls it.
 
 Resistor networks, and through them the sizing of dissections, have a
 second, dedicated kernel: one elimination of a grounded weighted Laplacian
-in minimum-degree order, over any of the fields.  ``laplacian_potentials``
+in minimum-degree order, over any of the fields, in shunt form (Kron
+reduction): each node keeps its conductance to the ground instead of a
+diagonal, and eliminating v with pivot p gives each neighbour u
+``shunt'_u = shunt_u + g_uv * shunt_v / p``.  ``laplacian_potentials``
 back-substitutes the node potentials of a network driven across two
 terminals and returns the conductance between them;
 ``laplacian_determinants`` multiplies the same pivots into the two
@@ -184,14 +187,22 @@ def _eliminate_laplacian(edges, ground, last) -> tuple[list, object]:
     skipped and parallel edges summed.  The Laplacian loses the row and
     column of ``ground``, and its other nodes are eliminated in
     minimum-degree order (Tinney-Walker: fewest off-diagonal entries, ties
-    to the node seen first), each node keeping one dict of off-diagonal
-    conductances; ``last`` goes last and is left uneliminated.
+    to the node seen first); ``last`` goes last and is left uneliminated.
+
+    Each node holds one dict of off-diagonal conductances and, once it has
+    a path to ``ground``, its shunt, the conductance to ``ground``; its
+    diagonal entry, never stored, is the shunt plus the row sum.  A Schur
+    complement of a grounded Laplacian is again one (Kron reduction), so
+    eliminating v with pivot p adds ``g * h / p`` between each pair of its
+    neighbours and moves its shunt to them: ``shunt'_u = shunt_u + g_uv *
+    shunt_v / p``.  A first value is stored, not added to zero.
 
     Returns the steps ``(node, pivot, links)`` in elimination order, where
     ``links`` lists ``(neighbour, g / pivot, g)`` for each off-diagonal
     conductance g the node held when it went, and the last pivot, the Schur
-    complement at ``last``: the conductance between ``last`` and ``ground``,
-    zero when no edge path joins them.
+    complement at ``last``: its shunt, the conductance between ``last`` and
+    ``ground``, zero when no edge path joins them.  Pivots of integer
+    conductances are ``Fraction``s.
 
     Every node must reach ``ground`` or ``last`` through the edges.  Then,
     with positive conductances, every pivot before the last is a Schur
@@ -199,7 +210,7 @@ def _eliminate_laplacian(edges, ground, last) -> tuple[list, object]:
     nonpositive one, or a negative last pivot, is an internal error.  Over
     ``RatFunc``, which has no order, only a zero pivot before the last is.
     """
-    diag: dict = {last: _ZERO}
+    shunt: dict = {}
     off: dict = {last: {}}
     for a, b, g in edges:
         if a == b:
@@ -207,10 +218,13 @@ def _eliminate_laplacian(edges, ground, last) -> tuple[list, object]:
         for u, v in ((a, b), (b, a)):
             if u == ground:
                 continue
-            diag[u] = diag.get(u, _ZERO) + g
             row = off.setdefault(u, {})
-            if v != ground:
-                row[v] = row.get(v, 0) + g
+            if v == ground:
+                shunt[u] = shunt[u] + g if u in shunt else g
+            else:
+                row[v] = row[v] + g if v in row else g
+    # a last with no path to ground gets the zero of its edges' field
+    unreached = next(iter(off[last].values()), _ZERO)
     seen = {u: i for i, u in enumerate(off)}
     heap = [(len(row), seen[u], u) for u, row in off.items() if u != last]
     heapq.heapify(heap)
@@ -221,25 +235,33 @@ def _eliminate_laplacian(edges, ground, last) -> tuple[list, object]:
         if row is None or size != len(row):
             continue  # eliminated, or a stale entry; the current size is queued too
         del off[v]
-        p = diag.pop(v)
+        s = shunt.pop(v, None)
+        values = iter(row.values())
+        p = sum(values, next(values, _ZERO) if s is None else s)
+        if isinstance(p, int):
+            p = Fraction(p)  # so that g / p stays exact
         if not (p if isinstance(p, RatFunc) else p > 0):
             raise ArithmeticError(f"nonpositive Laplacian pivot {p} at node {v!r}")
         links = [(u, g / p, g) for u, g in row.items()]
         for i, (u, f, g) in enumerate(links):
             target = off[u]
             del target[v]
-            diag[u] -= f * g
+            if s is not None:
+                moved = f * s
+                shunt[u] = shunt[u] + moved if u in shunt else moved
             for w, _, h in links[i + 1:]:
                 # the Schur complement adds g*h/p to both (u, w) and (w, u)
                 fill = f * h
-                target[w] = target.get(w, 0) + fill
+                target[w] = target[w] + fill if w in target else fill
                 other = off[w]
-                other[u] = other.get(u, 0) + fill
+                other[u] = other[u] + fill if u in other else fill
         for u, _, _ in links:
             if u != last:
                 heapq.heappush(heap, (len(off[u]), seen[u], u))
         steps.append((v, p, links))
-    p = diag[last]
+    p = shunt[last] if last in shunt else zero_like(unreached)
+    if isinstance(p, int):
+        p = Fraction(p)
     if not isinstance(p, RatFunc) and p < 0:
         raise ArithmeticError(f"negative Laplacian pivot {p} at node {last!r}")
     return steps, p
@@ -272,10 +294,8 @@ def laplacian_potentials(edges, plus, minus, voltage) -> tuple[dict, object]:
     zero = zero_like(voltage)
     potential = {plus: voltage, minus: zero}
     for v, _, links in reversed(steps):
-        total = zero
-        for u, f, _ in links:
-            total = total + f * potential[u]
-        potential[v] = total
+        terms = (f * potential[u] for u, f, _ in links)
+        potential[v] = sum(terms, next(terms, zero))
     return potential, conductance
 
 

@@ -401,6 +401,38 @@ def test_scalars_that_are_not_strings_are_malformed(name, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+# a sketch or a tiles value of the wrong JSON type stopped on Python's own
+# message, which names no field: "could not convert string to float: 'a'",
+# "'int' object is not iterable", "string indices must be integers, not
+# 'str'", "'int' object is not subscriptable"; a tiles value of {} or ""
+# read as no tiles (exit 1, "dissection has no tiles")
+UNTYPED_TILES = {
+    "sketch with a string entry": (_tile(sketch=["a", 0, 1, 1]), "tile 1 sketch needs 4 numbers"),
+    "sketch a string": (_tile(sketch="abcd"), "tile 1 sketch needs 4 numbers"),
+    "sketch 5": (_tile(sketch=5), "tile 1 sketch needs 4 numbers"),
+    "sketch null": (_tile(sketch=None), "tile 1 sketch needs 4 numbers"),
+    "sketch an object": (_tile(sketch={"a": 1}), "tile 1 sketch needs 4 numbers"),
+    "tiles an object": (_dissection(tiles={"id": 1}), "tiles needs a list of tile objects"),
+    "tiles a string": (_dissection(tiles="ab"), "tiles needs a list of tile objects"),
+    "tiles of numbers": (_dissection(tiles=[5]), "tiles needs a list of tile objects"),
+    "tiles 5": (_dissection(tiles=5), "tiles needs a list of tile objects"),
+    "tiles null": (_dissection(tiles=None), "tiles needs a list of tile objects"),
+    "tiles of nulls": (_dissection(tiles=[None]), "tiles needs a list of tile objects"),
+    "tiles an empty object": (_dissection(tiles={}), "tiles needs a list of tile objects"),
+    "tiles an empty string": (_dissection(tiles=""), "tiles needs a list of tile objects"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTYPED_TILES))
+def test_tiles_and_sketches_of_the_wrong_type_are_malformed(name, tmp_path, capsys):
+    content, message = UNTYPED_TILES[name]
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    for command in ("solve", "validate"):
+        assert invoke(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+        assert invoke(capsys, "--json", command, str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_render_validates_a_sized_file(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(_squares([(0, 0), (1, 0)], rects=True, w="5", h="1"))

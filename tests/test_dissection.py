@@ -176,6 +176,20 @@ def test_cut_numbering_and_ordered_junction_rows_are_pinned(name):
     assert got == rows
 
 
+@pytest.mark.parametrize("field, aspects", [
+    (FieldSpec.rational(), (2, Fraction(1, 2))),
+    (FieldSpec.quadratic(2), (Fraction(1, 2), 3)),
+], ids=["int over Q", "rational over Q(sqrt2)"])
+def test_junction_coefficients_take_the_fields_type(field, aspects):
+    """A first coefficient is stored as it is, yet an aspect given as an int
+    or a Fraction still enters as an element of the field."""
+    d = Dissection(field, [Tile(1, (0, 0, 1, 1), aspects[0]),
+                           Tile(2, (1, 0, 1, 1), aspects[1])])
+    system = junction_system(extract_cuts(d), d.tiles, d.field)
+    field_type = type(field.zero)
+    assert all(type(c) is field_type for row in system.nonzeros for c in row.values())
+
+
 def test_junction_equation_count_invariant():
     for d in (make_shelf(), make_two_columns(1, 2), make_two_rows(1, 2),
               make_pinwheel(), make_five_similar()):
