@@ -7,9 +7,10 @@ big rectangle's horizontal side.  Under this dictionary the junction
 conditions and the Kirchhoff equations are the same system: tile vertical
 sides are edge currents, the big vertical side is the battery current, and
 a vertical cut at x has potential U - x.  ``certify_equivalence`` checks
-all of that exactly on a concrete dissection: the sizes must solve the
-junction system and obey the network's local laws, which makes them the
-flow, so the flow is solved only to name a mismatch.
+all of that exactly on a concrete dissection: the sizes must obey the
+network's local laws, which makes them the flow, so the flow is solved
+only to name a mismatch.  The junction conditions are those laws read
+node by node and cut by cut, so they are not substituted again.
 
 The same bridge powers two algebraic constructions for square dissections
 into rectangles of ratio R and 1/R:
@@ -49,7 +50,6 @@ from .dissection import (
     DissectionError,
     Tile,
     extract_cuts,
-    junction_system,
     read_json,
     solve_sizes,
     validate_geometric,
@@ -65,7 +65,7 @@ from .fields import (
     parse_rational,
     zero_like,
 )
-from .linear import Unique, substitute_and_verify
+from .linear import substitute_and_verify  # noqa: F401  perfbench/spans.py wraps it
 
 
 class CorrespondenceError(Exception):
@@ -173,20 +173,31 @@ class EquivalenceReport:
 def certify_equivalence(d: Dissection) -> EquivalenceReport:
     """Check, exactly, that sizing the tiles and solving the flow coincide.
 
-    The sizes must solve the junction system, with x = U, and obey the
-    network's local laws.  The grounded Laplacian is nonsingular, so then
-    they are the flow: heights are currents, ``big_h`` the battery current,
-    U / ``big_h`` the resistance.  The flow is solved only to name a mismatch.
-    A sized ``d`` must pass geometric validation, and each of its rects must
-    be the one its sketch sizes to.
+    The sizes must obey the network's local laws (``_obeys_circuit_laws``).
+    The grounded Laplacian is nonsingular, so then they are the flow:
+    heights are currents, ``big_h`` the battery current, U / ``big_h`` the
+    resistance.  The flow is solved only to name a mismatch.  A sized ``d``
+    must pass geometric validation, and each of its rects must be the one
+    its sketch sizes to.
+
+    The junction system (``junction_system``, with v<k> the heights and
+    x = U) holds whenever the local laws do, so it is not substituted:
+
+      * each interior vertical node's row, and the left boundary's, is the
+        current law at that node, which the laws check on the heights;
+      * by Ohm's law aspect * v is the tile's width.  The tiles above a
+        maximal horizontal cut chain through shared vertical nodes, and so
+        do the tiles below; both chains start on one node and end on one,
+        since touching intervals merge into one node (``_segments``).  Each
+        node has one position, so both sides sum to the same span;
+      * by the same chain along the top edge, from x = 0 to x = U, the top
+        row's sum is U.
     """
     sizing = _sizing_of(d)
     sized = sizing.sized
     net = circuit_of_dissection(sized, sizing.cuts)
     u, heights = net.battery.voltage, {t.tid: t.rect[3] for t in sized.tiles}
-    system = junction_system(sizing.cuts, sized.tiles, sized.field, sized.big_h)
-    sides = Unique({**{f"v{tid}": h for tid, h in heights.items()}, "x": u})
-    agree = _obeys_circuit_laws(net, sized) and substitute_and_verify(system, sides)
+    agree = _obeys_circuit_laws(net, sized)
     if agree:
         currents, battery, resistance = heights, sized.big_h, u / sized.big_h
     else:

@@ -25,16 +25,17 @@ check d themselves; values built by arithmetic inside this module reuse an
 already checked radicand and skip those checks.
 
 The certificate's checks put their values on a grid (the private
-``_on_grid``): times one L > 0, which keeps order, equality and sums.  Over
-Q, L is the common denominator and each ``Fraction`` and ``int`` becomes an
-int, as Brooks, Smith, Stone and Tutte (Duke Math. J. 1940) scale a
-rational squared rectangle to integer sides.  Over one Q(sqrt(d)), L is
-the lcm of the triples' r and each value becomes an element p + q*sqrt(d)
-of Z[sqrt(d)] (the private ``_IntQuad``), whose sums and products run on
-ints with no gcd; ``_order_keys`` maps such elements to ints in the same
-exact order, so a sort compares ints.  Any other scalar, mixed radicands,
-or an L past 4,096 bits, where pairwise coprime denominators would make
-the grid quadratic, gives L = 1 and the values as given.
+``_on_grid``): times one L > 0, which keeps order, equality and sums.  One
+path serves every field: each value is read as a triple (p, q, r), a
+``Fraction`` or an ``int`` with q = 0, and L is the lcm of the r.  Over
+Q each value becomes an int, as Brooks, Smith, Stone and Tutte (Duke
+Math. J. 1940) scale a rational squared rectangle to integer sides.  Over
+one Q(sqrt(d)) each value becomes an element p + q*sqrt(d) of Z[sqrt(d)]
+(the private ``_IntQuad``), whose sums and products run on ints with no
+gcd; ``_order_keys`` maps such elements to ints in the same exact order,
+so a sort compares ints.  Any other scalar, mixed radicands, or an L past
+4,096 bits, where pairwise coprime denominators would make the grid
+quadratic, gives L = 1 and the values as given.
 
 Scalars have a textual syntax used by every file format: a rational is
 ``p/q`` or ``p``; a quadratic element is ``a/b + c/e*sqrt(d)`` with either
@@ -78,54 +79,27 @@ _GRID_MAX_BITS = 4096
 def _on_grid(*groups):
     """The groups times one L > 0, and L.
 
-    When every value is a ``Fraction`` or an ``int`` and their common
-    denominator fits in ``_GRID_MAX_BITS``, L is that denominator and each
-    group comes back as a list of ints.  When the values are ``QuadExt``
-    elements of one radicand d, mixed with ``Fraction`` and ``int``, and
-    the lcm of their triples' r fits, L is that lcm and each group comes
-    back as a list of ``_IntQuad``, elements of Z[sqrt(d)].  Otherwise
-    L = 1 and the groups come back as given.
+    Each value is read as a triple (p, q, r), (p + q*sqrt(d))/r: a
+    ``Fraction`` or an ``int`` with q = 0, a ``QuadExt`` as it is stored.
+    When every value is one of those, all ``QuadExt`` share one radicand d,
+    and the lcm of the r fits in ``_GRID_MAX_BITS``, L is that lcm and each
+    group comes back as a list: of ints when no ``QuadExt`` is present, of
+    ``_IntQuad``, elements of Z[sqrt(d)], otherwise.  Otherwise L = 1 and
+    the groups come back as given.
     """
-    nums, dens = [], []
-    for v in chain(*groups):
-        if type(v) is Fraction:
-            nums.append(v._numerator)
-            dens.append(v._denominator)
-        elif type(v) is int:
-            nums.append(v)
-            dens.append(1)
-        else:
-            return _on_quad_grid(groups)
-    distinct = list(set(dens))
-    lcm = 1
-    for k in range(0, len(distinct), _GRID_CHUNK):
-        lcm = math.lcm(lcm, *distinct[k:k + _GRID_CHUNK])
-        if lcm.bit_length() > _GRID_MAX_BITS:
-            return groups, 1
-    scale = {den: lcm // den for den in distinct}
-    ints = [n * scale[den] for n, den in zip(nums, dens)]
-    split, start = [], 0
-    for group in groups:
-        split.append(ints[start:start + len(group)])
-        start += len(group)
-    return split, lcm
-
-
-def _on_quad_grid(groups):
-    """``_on_grid`` past a value that is not a ``Fraction`` or an ``int``:
-    the rational grid's steps over the triples (p, q, r) of one radicand."""
     triples, d = [], None
     for v in chain(*groups):
-        if type(v) is QuadExt:
-            if d is None:
-                d = v.d
-            elif v.d != d:
-                return groups, 1
-            triples.append((v._p, v._q, v._r))
-        elif type(v) is Fraction:
+        kind = type(v)
+        if kind is Fraction:
             triples.append((v._numerator, 0, v._denominator))
-        elif type(v) is int:
+        elif kind is int:
             triples.append((v, 0, 1))
+        elif kind is QuadExt:
+            if v.d != d:
+                if d is not None:
+                    return groups, 1
+                d = v.d
+            triples.append((v._p, v._q, v._r))
         else:
             return groups, 1
     distinct = list({r for _, _, r in triples})
@@ -135,7 +109,10 @@ def _on_quad_grid(groups):
         if lcm.bit_length() > _GRID_MAX_BITS:
             return groups, 1
     scale = {r: lcm // r for r in distinct}
-    values = [_IntQuad(p * scale[r], q * scale[r], d) for p, q, r in triples]
+    if d is None:
+        values = [p * scale[r] for p, _, r in triples]
+    else:
+        values = [_IntQuad(p * scale[r], q * scale[r], d) for p, q, r in triples]
     split, start = [], 0
     for group in groups:
         split.append(values[start:start + len(group)])
@@ -1027,6 +1004,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
+        if not isinstance(obj, dict):
+            raise InputError("field needs an object")
         kind = obj.get("kind")
         if kind not in ("rational", "quadratic"):
             raise ScalarParseError(f"unknown field descriptor: {obj!r}")

@@ -8,7 +8,9 @@ survives reduction).  So every outcome is fully deterministic, and it
 explicitly distinguishes the three possibilities: a unique assignment, a
 parametric family (free variables plus affine expressions for the bound
 ones), or inconsistency with the offending reduced row.  ``gauss_jordan`` is
-the general solver of the API; no pipeline of the package calls it.
+the general solver of the API, and ``substitute_and_verify`` checks an
+outcome against every original row; no pipeline of the package calls
+either, and the tests use both as oracles.
 
 Resistor networks, and through them the sizing of dissections, have a
 second, dedicated kernel: one elimination of a grounded weighted Laplacian
@@ -309,6 +311,10 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     row on its own, times its m, and sum c'V' = b'L is tested.  Over Q a
     grid holds ints, over Q(sqrt d) elements of Z[sqrt d] whose products
     and sums run on ints; otherwise its factor is 1 and it holds the values.
+
+    No pipeline of the package calls it; the tests use it as an oracle,
+    among other things to show that sizes obeying the network's local laws
+    solve the junction system.
     """
     if isinstance(outcome, Inconsistent):
         return isinstance(gauss_jordan(system), Inconsistent)

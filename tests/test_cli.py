@@ -433,6 +433,25 @@ def test_tiles_and_sketches_of_the_wrong_type_are_malformed(name, tmp_path, caps
         assert invoke(capsys, "--json", command, str(path)) == (2, "", f"error: {message}\n")
 
 
+# a field that is not an object stopped on "malformed dissection object:
+# 'int' object has no attribute 'get'" (or the ladder's), naming no field
+@pytest.mark.parametrize("field", [5, None, "rational", [1]], ids=repr)
+@pytest.mark.parametrize("kind", ["dissection", "ladder"])
+def test_a_field_that_is_not_an_object_is_malformed(kind, field, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if kind == "dissection":
+        path.write_text(_dissection(field=field))
+        commands = [["solve", str(path)], ["validate", str(path)]]
+    else:
+        path.write_text(_ladder(field=field))
+        commands = [["lfs", "eval-cf", str(path)],
+                    ["lfs", "build", str(path), "--out", str(tmp_path / "out.json")]]
+    for argv in commands:
+        assert invoke(capsys, *argv) == (2, "", "error: field needs an object\n")
+        assert invoke(capsys, "--json", *argv) == (2, "", "error: field needs an object\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_render_validates_a_sized_file(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(_squares([(0, 0), (1, 0)], rects=True, w="5", h="1"))
