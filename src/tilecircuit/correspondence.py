@@ -7,10 +7,12 @@ big rectangle's horizontal side.  Under this dictionary the junction
 conditions and the Kirchhoff equations are the same system: tile vertical
 sides are edge currents, the big vertical side is the battery current, and
 a vertical cut at x has potential U - x.  ``certify_equivalence`` checks
-all of that exactly on a concrete dissection: the sizes must obey the
-network's local laws, which makes them the flow, so the flow is solved
-only to name a mismatch.  The junction conditions are those laws read
-node by node and cut by cut, so they are not substituted again.
+all of that exactly on a concrete dissection: the sizes must obey
+Kirchhoff's laws read off the cut structure, with the left and right
+boundaries as the battery's terminals, which makes them the flow.  The
+junction conditions are those laws read node by node and cut by cut, so
+they are not substituted again.  A network is built only for
+``to-circuit``, for ``theorem1`` and to name a mismatch.
 
 The same bridge powers two algebraic constructions for square dissections
 into rectangles of ratio R and 1/R:
@@ -82,27 +84,26 @@ def _node_names(cs: CutStructure) -> dict[int, str]:
     return names
 
 
-def circuit_of_dissection(d: Dissection, cuts: CutStructure | None = None) -> Netlist:
+def circuit_of_dissection(d: Dissection) -> Netlist:
     """Build the network of a dissection, sizing it first unless it is sized.
 
-    Terminals are the vertical cut segments; tile k becomes resistor k with
-    resistance equal to its aspect ratio, oriented left terminal to right
-    terminal; the battery spans the outer sides with voltage equal to the
-    big horizontal side, positive pole on the left.  A sized dissection
-    given without its ``cuts`` must pass geometric validation, and its
-    rects must obey the laws of the network read off its sketch.
+    Terminals are the vertical cut segments; each tile becomes the resistor
+    of its id with resistance equal to its aspect ratio, oriented left
+    terminal to right terminal; the battery spans the outer sides with
+    voltage equal to the big horizontal side, positive pole on the left.  A
+    sized dissection must pass geometric validation, and its rects must
+    obey the laws of the cut structure read off its sketch.
     """
     if not d.is_sized:
         sizing = solve_sizes(d)
         d, cuts = sizing.sized, sizing.cuts
-    elif cuts is None:
+    else:
         validate_geometric(d).require()
-        net = _network(d.tiles, extract_cuts(d), lambda t: t.aspect, d.big_w)
-        if not _obeys_circuit_laws(net, d):
+        cuts = extract_cuts(d)
+        if not _obeys_circuit_laws(cuts, d):
             raise DissectionError(
                 "the sketch contradicts the rects: its cuts do not carry the exact sizes"
             )
-        return net
     return _network(d.tiles, cuts, lambda t: t.aspect, d.big_w)
 
 
@@ -173,15 +174,16 @@ class EquivalenceReport:
 def certify_equivalence(d: Dissection) -> EquivalenceReport:
     """Check, exactly, that sizing the tiles and solving the flow coincide.
 
-    The sizes must obey the network's local laws (``_obeys_circuit_laws``).
-    The grounded Laplacian is nonsingular, so then they are the flow:
-    heights are currents, ``big_h`` the battery current, U / ``big_h`` the
-    resistance.  The flow is solved only to name a mismatch.  A sized ``d``
-    must pass geometric validation, and each of its rects must be the one
-    its sketch sizes to.
+    The sizes must obey Kirchhoff's laws on the cut structure
+    (``_obeys_circuit_laws``).  The grounded Laplacian is nonsingular, so
+    then they are the flow: heights are currents, ``big_h`` the battery
+    current, ``big_w / big_h`` the resistance.  Only a mismatch builds the
+    network and solves its flow, to name what differs.  A sized ``d`` must
+    pass geometric validation, and each of its rects must be the one its
+    sketch sizes to.
 
     The junction system (``junction_system``, with v<k> the heights and
-    x = U) holds whenever the local laws do, so it is not substituted:
+    x = U) holds whenever the laws do, so it is not substituted:
 
       * each interior vertical node's row, and the left boundary's, is the
         current law at that node, which the laws check on the heights;
@@ -195,13 +197,12 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     """
     sizing = _sizing_of(d)
     sized = sizing.sized
-    net = circuit_of_dissection(sized, sizing.cuts)
-    u, heights = net.battery.voltage, {t.tid: t.rect[3] for t in sized.tiles}
-    agree = _obeys_circuit_laws(net, sized)
+    heights = {t.tid: t.rect[3] for t in sized.tiles}
+    agree = _obeys_circuit_laws(sizing.cuts, sized)
     if agree:
-        currents, battery, resistance = heights, sized.big_h, u / sized.big_h
+        currents, battery, resistance = heights, sized.big_h, sized.big_w / sized.big_h
     else:
-        flow = solve_flow(net)
+        flow = solve_flow(_network(sized.tiles, sizing.cuts, lambda t: t.aspect, sized.big_w))
         currents, battery, resistance = (
             flow.edge_current, flow.battery_current, flow.total_resistance)
     tiles = tuple(TileCurrent(tid, h, currents[tid]) for tid, h in heights.items())
@@ -224,39 +225,42 @@ def _sizing_of(d: Dissection):
     return sizing
 
 
-def _obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
-    """Do the sizes obey the network's laws at every node and tile?
+def _obeys_circuit_laws(cs: CutStructure, sized: Dissection) -> bool:
+    """Do the sizes obey Kirchhoff's laws on the cut structure?
 
-    Heights are the currents (``big_h`` the battery's), and a vertical side
-    at x has potential U - x, kept here as its x.  Current is conserved at
-    every node, each tile obeys Ohm's law (its potential drop, its width w,
-    is height times resistance), and each node gets one potential from the
-    battery (x = 0 at plus, x = U at minus) and every tile touching it.
-    The currents and the positions are each put on a grid, times an L > 0:
-    ints over Q, elements p + q*sqrt(d) of Z[sqrt d] over Q(sqrt d), whose
-    sums run on ints.  Conservation and positions are linear, so they hold
-    exactly when they hold on the grid; only Ohm's law runs in the field.
+    The vertical nodes of ``cs`` are the network's nodes, each tile a
+    resistor of resistance its aspect from its left node to its right one,
+    and the battery of voltage U = ``big_w`` joins the left boundary (plus)
+    to the right one.  Heights are the currents (``big_h`` the battery's),
+    and a vertical side at x has potential U - x, kept here as its x.
+    Current is conserved at every node, each tile obeys Ohm's law (its
+    potential drop, its width w, is height times aspect), and each node
+    gets one potential from the battery (x = 0 at plus, x = U at minus)
+    and every tile touching it.  The currents and the positions are each
+    put on a grid, times an L > 0: ints over Q, elements p + q*sqrt(d) of
+    Z[sqrt d] over Q(sqrt d), whose sums run on ints.  Conservation and
+    positions are linear, so they hold exactly when they hold on the grid;
+    only Ohm's law runs in the field.
     """
-    u = net.battery.voltage
-    plus, minus = net.battery.plus, net.battery.minus
+    plus, minus = cs.left_boundary, cs.right_boundary
     rects = [t.rect for t in sized.tiles]
     xs, ws, hs = [r[0] for r in rects], [r[2] for r in rects], [r[3] for r in rects]
     ((battery,), flows), _ = _on_grid((sized.big_h,), hs)
-    ((u,), xs, ws), _ = _on_grid((u,), xs, ws)
-    outflow = dict.fromkeys(net.nodes, 0)
+    ((u,), xs, ws), _ = _on_grid((sized.big_w,), xs, ws)
+    outflow = [0] * len(cs.v_nodes)
     outflow[plus] = -battery
     outflow[minus] = battery
     at = {plus: 0, minus: u}
-    # circuit_of_dissection makes tile k resistor k, in tile order
-    for (_, _, w, h), r, x, gw, flow in zip(rects, net.resistors, xs, ws, flows):
-        if h * r.value != w:
+    for t, (_, _, w, h), x, gw, flow in zip(sized.tiles, rects, xs, ws, flows):
+        if h * t.aspect != w:
             return False
-        outflow[r.node_a] += flow
-        outflow[r.node_b] -= flow
-        right = x + gw
-        if at.setdefault(r.node_a, x) != x or at.setdefault(r.node_b, right) != right:
+        left, right = cs.tile_ends[t.tid]
+        outflow[left] += flow
+        outflow[right] -= flow
+        end = x + gw
+        if at.setdefault(left, x) != x or at.setdefault(right, end) != end:
             return False
-    return not any(outflow.values())
+    return not any(outflow)
 
 
 def stretch(d: Dissection, s) -> Dissection:

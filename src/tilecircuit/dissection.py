@@ -86,6 +86,9 @@ class Dissection:
                 raise _MalformedDissection(
                     f"tile {t.tid} has a nonpositive aspect ratio"
                 )
+        for t in self.tiles:
+            if not all(math.isfinite(c) for c in t.sketch):
+                raise _MalformedDissection(f"tile {t.tid} has a non-finite sketch coordinate")
 
     @property
     def is_sized(self) -> bool:
@@ -128,21 +131,17 @@ class CutStructure:
     tile_spans: dict   # tile id -> (bottom cut id, top cut id)
 
 
-def _cluster(values, eps: float) -> list[float]:
-    """Sorted class representatives; values closer than eps share a class."""
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > eps:
-            out.append(v)
-    return out
-
-
-def _class_of(value: float, classes: list[float], eps: float, what: str) -> int:
-    i = bisect.bisect_left(classes, value)
-    for j in (i - 1, i):
-        if 0 <= j < len(classes) and abs(classes[j] - value) <= eps:
-            return j
-    raise DissectionError(f"{what} coordinate {value} matches no grid class")
+def _classes(values, eps: float) -> tuple[list[float], list[int]]:
+    """Sorted class representatives and each value's class.  In ascending
+    order a value joins the last representative when within eps of it and
+    starts a class of its own otherwise."""
+    reps: list[float] = []
+    labels = [0] * len(values)
+    for k in sorted(range(len(values)), key=values.__getitem__):
+        if not reps or values[k] - reps[-1] > eps:
+            reps.append(values[k])
+        labels[k] = len(reps) - 1
+    return reps, labels
 
 
 def _merge_segments(intervals):
@@ -217,21 +216,15 @@ def extract_cuts(d: Dissection) -> CutStructure:
     y1 = max(t.sketch[1] + t.sketch[3] for t in tiles)
     eps = SKETCH_REL_TOL * max(x1 - x0, y1 - y0)
 
-    xs = _cluster(
-        [t.sketch[0] for t in tiles] + [t.sketch[0] + t.sketch[2] for t in tiles],
-        eps,
-    )
-    ys = _cluster(
-        [t.sketch[1] for t in tiles] + [t.sketch[1] + t.sketch[3] for t in tiles],
-        eps,
-    )
+    n = len(tiles)
+    xs, x_class = _classes(
+        [t.sketch[0] for t in tiles] + [t.sketch[0] + t.sketch[2] for t in tiles], eps)
+    ys, y_class = _classes(
+        [t.sketch[1] for t in tiles] + [t.sketch[1] + t.sketch[3] for t in tiles], eps)
 
     snapped = {}
-    for t in tiles:
-        ix0 = _class_of(t.sketch[0], xs, eps, f"tile {t.tid} left")
-        ix1 = _class_of(t.sketch[0] + t.sketch[2], xs, eps, f"tile {t.tid} right")
-        iy0 = _class_of(t.sketch[1], ys, eps, f"tile {t.tid} bottom")
-        iy1 = _class_of(t.sketch[1] + t.sketch[3], ys, eps, f"tile {t.tid} top")
+    for k, t in enumerate(tiles):
+        ix0, ix1, iy0, iy1 = x_class[k], x_class[n + k], y_class[k], y_class[n + k]
         if ix1 <= ix0 or iy1 <= iy0:
             raise DissectionError(f"tile {t.tid} collapses at sketch tolerance")
         snapped[t.tid] = (ix0, ix1, iy0, iy1)
@@ -650,11 +643,7 @@ def dissection_from_json(obj: dict) -> Dissection:
         raise
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise _MalformedDissection(f"malformed dissection object: {exc}") from exc
-    d = Dissection(field, tiles, big_w=big_w, big_h=big_h)
-    for t in d.tiles:
-        if not all(math.isfinite(c) for c in t.sketch):
-            raise _MalformedDissection(f"tile {t.tid} has a non-finite sketch coordinate")
-    return d
+    return Dissection(field, tiles, big_w=big_w, big_h=big_h)
 
 
 def _scalar_or_null(field: FieldSpec, value, what: str):

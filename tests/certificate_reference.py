@@ -2,16 +2,21 @@
 
 Over Q, ``linear.substitute_and_verify`` now tests a ``Unique`` outcome
 on an integer grid, and ``correspondence._obeys_circuit_laws`` adds
-currents and positions on integer grids.  These are the field-arithmetic
-versions they replaced, copied verbatim: the ``Unique`` branch of the
-substitution, and the local-law check.  ``test_grid_exactness.py``
+currents and positions on integer grids, reading the nodes and terminals
+off the cut structure.  These are the field-arithmetic versions they
+replaced, copied verbatim: the ``Unique`` branch of the substitution, and
+the local-law check on the ``Netlist``.  ``test_grid_exactness.py``
 requires the same verdict, or the same exception, from both.
 
 ``certify_equivalence`` no longer substitutes the sizes into the junction
-system once they obey the network's local laws.  ``certify_equivalence``
-here is the version that did, copied verbatim; it looks up the package's
-own ``_sizing_of`` and ``_obeys_circuit_laws``, so a patched sizing reaches
-both versions.  ``test_certificate_exactness.py`` requires equal reports.
+system once they obey the network's local laws, and builds no network
+unless they fail.  ``certify_equivalence`` here is the version that did
+both, copied verbatim but for its network, built from the cuts by
+``_network`` without validating the sizes (the two-argument
+``circuit_of_dissection`` it called did the same).  It looks up the
+package's own ``_sizing_of`` and ``_obeys_circuit_laws``, so a patched
+sizing reaches both versions.  ``test_certificate_exactness.py`` requires
+equal reports.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from tilecircuit.circuit import Netlist, solve_flow
 from tilecircuit.correspondence import (
     EquivalenceReport,
     TileCurrent,
+    _network,
     _obeys_circuit_laws,
     _sizing_of,
-    circuit_of_dissection,
 )
 from tilecircuit.dissection import Dissection, junction_system
 from tilecircuit.fields import zero_like
@@ -83,11 +88,11 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     """
     sizing = _sizing_of(d)
     sized = sizing.sized
-    net = circuit_of_dissection(sized, sizing.cuts)
+    net = _network(sized.tiles, sizing.cuts, lambda t: t.aspect, sized.big_w)
     u, heights = net.battery.voltage, {t.tid: t.rect[3] for t in sized.tiles}
     system = junction_system(sizing.cuts, sized.tiles, sized.field, sized.big_h)
     sides = Unique({**{f"v{tid}": h for tid, h in heights.items()}, "x": u})
-    agree = _obeys_circuit_laws(net, sized) and substitute_and_verify(system, sides)
+    agree = _obeys_circuit_laws(sizing.cuts, sized) and substitute_and_verify(system, sides)
     if agree:
         currents, battery, resistance = heights, sized.big_h, u / sized.big_h
     else:

@@ -10,7 +10,7 @@ sideways or upwards, a height, a width or ``big_h`` changed, or more
 current sent around a cycle of the network, with or without the widths
 following Ohm's law.  Wherever the local laws hold the junction system
 must hold too, and a certificate must build and substitute no junction
-system at all.
+system at all, nor a network unless the laws fail.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ import pytest
 import certificate_reference as ref
 import tilecircuit
 from conftest import make_two_rows, perfbench_gen, tilings
-from tilecircuit import QuadExt, correspondence, dissection, linear, load_dissection
+from tilecircuit import QuadExt, circuit, correspondence, dissection, linear, load_dissection
 from tilecircuit.correspondence import _obeys_circuit_laws, certify_equivalence
 from tilecircuit.linear import Unique
 
@@ -96,7 +96,7 @@ def _circulation(sizing, delta, ohm):
     """The sizing with delta more current around one cycle of its network;
     each width follows Ohm's law when ohm is set.  Current stays conserved."""
     sized = sizing.sized
-    steps = _cycle(correspondence.circuit_of_dissection(sized, sizing.cuts))
+    steps = _cycle(correspondence.circuit_of_dissection(sized))
     if steps is None:
         return None
     for rid, sign in steps:
@@ -214,12 +214,11 @@ def test_the_local_laws_imply_the_junction_system(name):
     held = Counter()
     for corruption, _, sizing in _sizings(SKETCHES[name]):
         sized = sizing.sized
-        net = correspondence.circuit_of_dissection(sized, sizing.cuts)
         system = dissection.junction_system(sizing.cuts, sized.tiles, sized.field,
                                             sized.big_h)
         sides = Unique({**{f"v{t.tid}": t.rect[3] for t in sized.tiles},
-                        "x": net.battery.voltage})
-        laws = _obeys_circuit_laws(net, sized)
+                        "x": sized.big_w})
+        laws = _obeys_circuit_laws(sizing.cuts, sized)
         junction = linear.substitute_and_verify(system, sides)
         assert junction or not laws, corruption
         if corruption == "circulation under Ohm's law":
@@ -254,3 +253,36 @@ def test_a_certificate_builds_no_junction_system(monkeypatch):
             _injected(patch, sizing)
             certify_equivalence(SKETCHES["20-tile wall over Q"])
     assert calls == Counter()
+
+
+def test_a_certificate_builds_a_network_only_to_name_a_mismatch(monkeypatch):
+    """The laws are read off the cut structure: no ``Netlist`` is built
+    while they hold, one is built to solve the flow when they fail, and
+    ``circuit_of_dissection`` of a sized file builds its one network."""
+    wall = SKETCHES["20-tile wall over Q"]
+    sizings = _sizings(wall)
+    sized = {name: correspondence.solve_sizes(d).sized for name, d in SKETCHES.items()}
+    built = []
+    init = circuit.Netlist.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(circuit.Netlist, "__init__", counted)
+    for name, d in SKETCHES.items():
+        assert certify_equivalence(d).ok, name
+        assert certify_equivalence(sized[name]).ok, name
+    assert built == []
+    agreed = Counter()
+    for corruption, _, sizing in sizings:
+        with monkeypatch.context() as patch:
+            _injected(patch, sizing)
+            built.clear()
+            report = certify_equivalence(wall)
+        assert len(built) == (0 if report.systems_agree else 1), corruption
+        agreed[report.systems_agree] += 1
+    assert agreed[True] and agreed[False], agreed
+    built.clear()
+    correspondence.circuit_of_dissection(sized["20-tile wall over Q"])
+    assert len(built) == 1

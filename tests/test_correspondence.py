@@ -244,7 +244,7 @@ def test_certified_sizes_are_the_flow(name, d):
     the flow solve gives, of the same type."""
     report = certify_equivalence(d)
     sizing = solve_sizes(d)
-    flow = solve_flow(circuit_of_dissection(sizing.sized, sizing.cuts))
+    flow = solve_flow(circuit_of_dissection(sizing.sized))
     pairs = [(t.current, flow.edge_current[t.tile]) for t in report.tiles]
     pairs += [(report.battery_current, flow.battery_current),
               (report.resistance, flow.total_resistance)]
@@ -254,7 +254,7 @@ def test_certified_sizes_are_the_flow(name, d):
 def test_smith_duality_resistance_equals_ratio():
     for name, d in corpus().items():
         sizing = solve_sizes(d)
-        net = circuit_of_dissection(sizing.sized, sizing.cuts)
+        net = circuit_of_dissection(sizing.sized)
         assert resistance(net) == sizing.sized.big_w / sizing.sized.big_h, name
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -303,6 +304,17 @@ def test_nonpositive_aspect_rejected():
         Dissection(field, [Tile(1, (0.0, 0.0, 1.0, 1.0), Fraction(0))])
     with pytest.raises(DissectionError):
         Dissection(field, [Tile(1, (0.0, 0.0, 1.0, 1.0), Fraction(-2))])
+
+
+@pytest.mark.parametrize("coordinate", range(2))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_sketch_rejected(coordinate, value):
+    """Refused when built, before any clustering reads the sketch."""
+    sketch = [0.0, 0.0, 1.0, 1.0]
+    sketch[coordinate] = value
+    tiles = [Tile(1, (1.0, 0.0, 1.0, 1.0), Fraction(1)), Tile(2, tuple(sketch), Fraction(1))]
+    with pytest.raises(DissectionError, match="^tile 2 has a non-finite sketch coordinate$"):
+        Dissection(FieldSpec.rational(), tiles)
 
 
 def test_validate_geometric_single_tile():

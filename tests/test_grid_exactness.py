@@ -154,9 +154,9 @@ def _as_int(v):
 
 @st.composite
 def corrupted_sizings(draw, field_name):
-    """A solved wall, its network, and its sizing as solved or with one
-    tile moved, one height, one width or ``big_h`` changed; over Q the
-    whole values are sometimes plain ints."""
+    """A solved wall, its network, its cut structure, and its sizing as
+    solved or with one tile moved, one height, one width or ``big_h``
+    changed; over Q the whole values are sometimes plain ints."""
     field, values = FIELDS[field_name]
     rects = draw(walls(values))
     d = Dissection(field, [Tile(tid, tuple(float(c) for c in r), r[2] / r[3])
@@ -166,7 +166,7 @@ def corrupted_sizings(draw, field_name):
     except DissectionError:
         assume(False)
     sized = sizing.sized
-    net = circuit_of_dissection(sized, sizing.cuts)
+    net = circuit_of_dissection(sized)
     tiles = list(sized.tiles)
     big_h = sized.big_h
     delta = draw(values) * draw(st.sampled_from([1, -1, Fraction(1, 1000)]))
@@ -183,15 +183,15 @@ def corrupted_sizings(draw, field_name):
         tiles = [Tile(t.tid, t.sketch, t.aspect, tuple(map(_as_int, t.rect)))
                  for t in tiles]
         big_h = _as_int(big_h)
-    return net, Dissection(field, tiles, big_w=sized.big_w, big_h=big_h), kind
+    return net, sizing.cuts, Dissection(field, tiles, big_w=sized.big_w, big_h=big_h), kind
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_circuit_laws_match_field_arithmetic(field, data):
-    net, sized, kind = data.draw(corrupted_sizings(field))
-    verdict = _obeys_circuit_laws(net, sized)
+    net, cuts, sized, kind = data.draw(corrupted_sizings(field))
+    verdict = _obeys_circuit_laws(cuts, sized)
     assert verdict == ref.obeys_circuit_laws(net, sized)
     if kind == "none":
         assert verdict is True

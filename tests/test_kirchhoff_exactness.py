@@ -8,9 +8,10 @@ same rows, with the same coefficient types, on random connected netlists
 with self-loops and parallel edges over Q and Q(sqrt d), on symbolic
 netlists and on the networks of dissections.  A symbolic resistance of
 ``0`` or ``-t`` is refused when the netlist is built.  A certificate
-builds its spanning tree once.
+builds no spanning tree while its laws hold, and one to name a mismatch.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from tilecircuit import (
     load_ladder,
     theorem1_certificate,
 )
-from tilecircuit import circuit
+from tilecircuit import circuit, correspondence
 from tilecircuit.fields import parse_symbolic_scalar
 
 DATA = Path(__file__).parent / "data"
@@ -149,9 +150,20 @@ def count_spanning_trees(monkeypatch):
 
 
 def test_one_spanning_tree_per_shelf_certificate(monkeypatch):
+    """A certificate whose sizes obey the laws builds no network, so no
+    tree; a refused one builds the tree of the network it solves, once."""
     d = make_shelf()
     calls = count_spanning_trees(monkeypatch)
     assert certify_equivalence(d).systems_agree
+    assert len(calls) == 0
+    sizing = correspondence.solve_sizes(d)
+    x, y, w, h = sizing.sized.tiles[-1].rect
+    tiles = sizing.sized.tiles[:-1] + (
+        dataclasses.replace(sizing.sized.tiles[-1], rect=(x, y, w, h + Fraction(1, 32))),)
+    corrupted = dataclasses.replace(sizing.sized, tiles=tiles)
+    monkeypatch.setattr(correspondence, "solve_sizes",
+                        lambda _: dataclasses.replace(sizing, sized=corrupted))
+    assert not certify_equivalence(d).systems_agree
     assert len(calls) == 1
 
 

@@ -35,7 +35,6 @@ from tilecircuit import (
     FieldSpec,
     QuadExt,
     Tile,
-    circuit_of_dissection,
     extract_cuts,
     junction_system,
     load_dissection,
@@ -43,6 +42,7 @@ from tilecircuit import (
     validate_geometric,
 )
 from tilecircuit.correspondence import _obeys_circuit_laws
+from tilecircuit.dissection import SKETCH_REL_TOL, _classes
 from tilecircuit.fields import _on_grid
 from tilecircuit.linear import Unique, substitute_and_verify
 
@@ -254,6 +254,22 @@ def test_extract_cuts_matches_reference_on_test_tilings():
         assert outcome(extract_cuts, d) == outcome(ref.extract_cuts, d)
 
 
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 12),
+                                st.sampled_from([0.0, 1e-13, -1e-13, 3e-7, -3e-7])),
+                      min_size=1, max_size=30),
+       scale=st.sampled_from([0.5, 1.0, 1.5]))
+def test_classes_match_reference_near_the_tolerance(steps, scale):
+    """Labelling while clustering gives each value the class that
+    ``_class_of`` finds among ``_cluster``'s representatives; the values
+    are half a tolerance apart, give or take a rounding or a third."""
+    values = [1.0 + k * 0.5e-6 + jitter for k, jitter in steps]
+    eps = SKETCH_REL_TOL * scale
+    reps, labels = _classes(values, eps)
+    assert reps == ref._cluster(values, eps)
+    assert labels == [ref._class_of(v, reps, eps, "value") for v in values]
+
+
 # --- junction_system ---------------------------------------------------------------
 
 
@@ -355,14 +371,13 @@ PRODUCTS_PER_TILE = 2
 def test_certificate_checks_run_on_the_integer_grid(big_walls, monkeypatch):
     for d in big_walls:
         cs = extract_cuts(d)
-        net = circuit_of_dissection(d, cs)
         system = junction_system(cs, d.tiles, d.field, d.big_h)
         sides = Unique({**{f"v{t.tid}": t.rect[3] for t in d.tiles}, "x": d.big_w})
         with monkeypatch.context() as patch:
             calls = _counting(patch, ("__add__", "__radd__", "__sub__", "__rsub__",
                                       "__mul__", "__rmul__"))
             assert validate_geometric(d).ok
-            assert _obeys_circuit_laws(net, d)
+            assert _obeys_circuit_laws(cs, d)
             assert substitute_and_verify(system, sides)
         sums = ("__add__", "__radd__", "__sub__", "__rsub__")
         assert sum(calls[name] for name in sums) == 0, calls

@@ -3,15 +3,19 @@
 ``tilecircuit.dissection`` now validates a tiling on the exact ranks of
 its coordinates with a sweep that lists overlapping pairs, checks sketch
 strip coverage in one sweep that carries the active spans from strip to
-strip, and builds the junction system from sparse rows.  These are the
-functions they replaced, copied verbatim: ``validate_geometric`` with its
-pairwise ``_overlapping_pairs`` over the field, ``extract_cuts`` with its
-per-strip rescan of every tile, and ``junction_system`` with its dense
-rows.  ``test_sweep_exactness.py`` requires the same reports, cut
-structures, systems and exceptions from both.
+strip, labels each sketch coordinate while it clusters them, and builds
+the junction system from sparse rows.  These are the functions they
+replaced, copied verbatim: ``validate_geometric`` with its pairwise
+``_overlapping_pairs`` over the field, ``extract_cuts`` with its per-strip
+rescan of every tile and its ``_cluster`` and ``_class_of``, and
+``junction_system`` with its dense rows.  ``test_sweep_exactness.py``
+requires the same reports, cut structures, systems, classes and
+exceptions from both.
 """
 
 from __future__ import annotations
+
+import bisect
 
 from tilecircuit.dissection import (
     SKETCH_REL_TOL,
@@ -21,12 +25,27 @@ from tilecircuit.dissection import (
     HCut,
     ValidationReport,
     VNode,
-    _class_of,
-    _cluster,
     _segments,
 )
 from tilecircuit.fields import FieldSpec
 from tilecircuit.linear import LinearSystem
+
+
+def _cluster(values, eps: float) -> list[float]:
+    """Sorted class representatives; values closer than eps share a class."""
+    out: list[float] = []
+    for v in sorted(values):
+        if not out or v - out[-1] > eps:
+            out.append(v)
+    return out
+
+
+def _class_of(value: float, classes: list[float], eps: float, what: str) -> int:
+    i = bisect.bisect_left(classes, value)
+    for j in (i - 1, i):
+        if 0 <= j < len(classes) and abs(classes[j] - value) <= eps:
+            return j
+    raise DissectionError(f"{what} coordinate {value} matches no grid class")
 
 
 def extract_cuts(d: Dissection) -> CutStructure:
