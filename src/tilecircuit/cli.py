@@ -239,11 +239,7 @@ def _cmd_lfs_build(args, out: _Output) -> int:
 
 
 def _cmd_render(args, out: _Output) -> int:
-    d = load_dissection(_read(args.dissection))
-    if d.is_sized:
-        validate_geometric(d).require()
-    else:
-        d = solve_sizes(d).sized
+    d = solve_sizes(load_dissection(_read(args.dissection))).sized
     svg = render_svg(d)
     _write(args.output, svg)
     out.emit({"written": args.output}, [f"wrote {args.output}"])

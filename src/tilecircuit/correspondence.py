@@ -6,13 +6,16 @@ right one), and a battery joins the outer sides with voltage equal to the
 big rectangle's horizontal side.  Under this dictionary the junction
 conditions and the Kirchhoff equations are the same system: tile vertical
 sides are edge currents, the big vertical side is the battery current, and
-a vertical cut at x has potential U - x.  ``certify_equivalence`` checks
-all of that exactly on a concrete dissection: the sizes must obey
-Kirchhoff's laws read off the cut structure, with the left and right
-boundaries as the battery's terminals, which makes them the flow.  The
-junction conditions are those laws read node by node and cut by cut, so
-they are not substituted again.  A network is built only for
-``to-circuit``, for ``theorem1`` and to name a mismatch.
+a vertical cut at x has potential U - x.  Every function here reads a
+dissection's sizes through ``solve_sizes``, which sizes a sketch and
+checks a sized dissection against its sketch's cuts.
+``certify_equivalence`` checks the dictionary exactly on a concrete
+dissection: the sizes must obey Kirchhoff's laws read off the cut
+structure, with the left and right boundaries as the battery's
+terminals, which makes them the flow.  The junction conditions are those
+laws read node by node and cut by cut, so they are not substituted
+again.  A network is built only for ``to-circuit``, for ``theorem1`` and
+to name a mismatch.
 
 The same bridge powers two algebraic constructions for square dissections
 into rectangles of ratio R and 1/R:
@@ -49,9 +52,8 @@ from .circuit import (
 from .dissection import (
     CutStructure,
     Dissection,
-    DissectionError,
     Tile,
-    extract_cuts,
+    extract_cuts,  # noqa: F401  a module-level name that perfbench/spans.py wraps
     read_json,
     solve_sizes,
     validate_geometric,
@@ -85,26 +87,17 @@ def _node_names(cs: CutStructure) -> dict[int, str]:
 
 
 def circuit_of_dissection(d: Dissection) -> Netlist:
-    """Build the network of a dissection, sizing it first unless it is sized.
+    """Build the network of a dissection, read through ``solve_sizes``.
 
     Terminals are the vertical cut segments; each tile becomes the resistor
     of its id with resistance equal to its aspect ratio, oriented left
     terminal to right terminal; the battery spans the outer sides with
-    voltage equal to the big horizontal side, positive pole on the left.  A
-    sized dissection must pass geometric validation, and its rects must
-    obey the laws of the cut structure read off its sketch.
+    voltage equal to the big horizontal side, positive pole on the left.
+    ``d`` is read through ``solve_sizes``: a sketch is sized, a sized ``d``
+    checked on its sketch's cuts.
     """
-    if not d.is_sized:
-        sizing = solve_sizes(d)
-        d, cuts = sizing.sized, sizing.cuts
-    else:
-        validate_geometric(d).require()
-        cuts = extract_cuts(d)
-        if not _obeys_circuit_laws(cuts, d):
-            raise DissectionError(
-                "the sketch contradicts the rects: its cuts do not carry the exact sizes"
-            )
-    return _network(d.tiles, cuts, lambda t: t.aspect, d.big_w)
+    sizing = solve_sizes(d)
+    return _network(sizing.sized.tiles, sizing.cuts, lambda t: t.aspect, sizing.sized.big_w)
 
 
 def _network(tiles, cs: CutStructure, value, voltage) -> Netlist:
@@ -178,9 +171,9 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     (``_obeys_circuit_laws``).  The grounded Laplacian is nonsingular, so
     then they are the flow: heights are currents, ``big_h`` the battery
     current, ``big_w / big_h`` the resistance.  Only a mismatch builds the
-    network and solves its flow, to name what differs.  A sized ``d`` must
-    pass geometric validation, and each of its rects must be the one its
-    sketch sizes to.
+    network and solves its flow, to name what differs.  A sized ``d`` keeps
+    its sizes once ``solve_sizes`` has checked them on its sketch's cuts,
+    so then nothing is eliminated.
 
     The junction system (``junction_system``, with v<k> the heights and
     x = U) holds whenever the laws do, so it is not substituted:
@@ -195,34 +188,18 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
       * by the same chain along the top edge, from x = 0 to x = U, the top
         row's sum is U.
     """
-    sizing = _sizing_of(d)
+    sizing = solve_sizes(d)
     sized = sizing.sized
     heights = {t.tid: t.rect[3] for t in sized.tiles}
     agree = _obeys_circuit_laws(sizing.cuts, sized)
     if agree:
-        currents, battery, resistance = heights, sized.big_h, sized.big_w / sized.big_h
+        currents, battery, resistance = heights, sized.big_h, sizing.ratio
     else:
         flow = solve_flow(_network(sized.tiles, sizing.cuts, lambda t: t.aspect, sized.big_w))
         currents, battery, resistance = (
             flow.edge_current, flow.battery_current, flow.total_resistance)
     tiles = tuple(TileCurrent(tid, h, currents[tid]) for tid, h in heights.items())
     return EquivalenceReport(tiles, battery, sized.big_h, resistance, sizing.ratio, agree)
-
-
-def _sizing_of(d: Dissection):
-    """``solve_sizes(d)``, refusing a sized ``d`` that is not its own sizing.
-
-    A ``d`` whose rects all match is the sizing, which ``solve_sizes`` has
-    validated, so ``d`` is validated only once a rect differs.
-    """
-    sizing = solve_sizes(d)
-    if d.is_sized:
-        for given, t in zip(d.tiles, sizing.sized.tiles):
-            if given.rect != t.rect:
-                validate_geometric(d).require()
-                raise DissectionError(
-                    f"tile {t.tid}'s rect is not the one its sketch sizes to")
-    return sizing
 
 
 def _obeys_circuit_laws(cs: CutStructure, sized: Dissection) -> bool:
@@ -292,10 +269,10 @@ def theorem1_certificate(d: Dissection, ratio=None) -> IntPoly:
     tiles rectangles of ratio R^2 (the symbolic resistance t); if the
     resulting network resistance is p(t)/q(t), then q(x^2)*x - p(x^2) is a
     nonzero integer polynomial vanishing at R, which is verified exactly
-    before returning.  A sized ``d`` must be the sizing of its sketch, as in
-    ``certify_equivalence``.
+    before returning.  ``d`` is read through ``solve_sizes``: a sketch is
+    sized, a sized ``d`` checked on its sketch's cuts.
     """
-    sizing = _sizing_of(d)
+    sizing = solve_sizes(d)
     if sizing.ratio != one_like(sizing.ratio):
         raise CorrespondenceError("certificate needs a square dissection")
     r = ratio if ratio is not None else infer_ratio(d)

@@ -14,7 +14,8 @@ Laplacian solve: tile heights are the currents and cut x-coordinates the
 potentials.  Each axis's cuts are then placed by one ordered pass from the
 left or bottom side.  The solved dissection carries exact coordinates and
 can be validated, tested for the all-squares/rational-ratio property, or
-rendered.
+rendered.  A sized dissection keeps its own coordinates once they are
+checked on its sketch's cuts.
 
 Dissection file format (JSON)::
 
@@ -25,7 +26,8 @@ Dissection file format (JSON)::
 
 where scalars are strings in the shared textual syntax (a rect is 4 of
 them), sketch entries are plain JSON numbers, and ids and d are JSON
-integers (never booleans).
+integers (never booleans).  Rects are on every tile or on none, and rects
+need both big sides.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ class Dissection:
         for t in self.tiles:
             if not all(math.isfinite(c) for c in t.sketch):
                 raise _MalformedDissection(f"tile {t.tid} has a non-finite sketch coordinate")
+        unsized = [t.tid for t in self.tiles if t.rect is None]
+        if 0 < len(unsized) < len(self.tiles):
+            raise _MalformedDissection(f"tile {unsized[0]} has no rect, but other tiles have one")
+        if self.tiles and not unsized and (self.big_w is None or self.big_h is None):
+            raise _MalformedDissection("a dissection with rects needs both big sides")
 
     @property
     def is_sized(self) -> bool:
@@ -355,20 +362,38 @@ class SizingResult:
 
 
 def solve_sizes(d: Dissection) -> SizingResult:
-    """Size a sketched dissection exactly.
+    """The exact sizing of a dissection: a sketch's solved, a sized one's checked.
 
-    The big vertical side is taken from ``d.big_h`` when present (1
-    otherwise).  Tile k is a resistor of conductance 1/aspect from its left
-    vertical node to its right one; with potential 1 on the left side and 0
-    on the right, the network conducts G, so scaling by U = big_h / G makes
-    the big horizontal side U, each tile's horizontal side its potential
-    drop times U, and its vertical side that times 1/aspect, its current.
-    Each node and cut is placed at the start of a tile ending on it plus
-    that tile's width or height; whichever tile reaches it, a node lands at
-    (1 - V) * U and a cut at one height.  The result is geometrically
-    validated.  Four tiles meeting at a point, nonpositive sides, and a
-    contradicted declared width raise ``SizingError``.
+    A sized ``d`` keeps its sizes, with no elimination and no Euler count.
+    Its rects must pass geometric validation, and ``_place``, laying its
+    widths and heights on its sketch's cuts, must give back every rect and
+    far edge; otherwise the error names the first tile that differs.  Its
+    heights then obey Kirchhoff's laws on the cuts, so they are the flow.
+
+    A sketch is sized with the big vertical side taken from ``d.big_h``
+    when present (1 otherwise).  Tile k is a resistor of conductance
+    1/aspect from its left vertical node to its right one; with potential 1
+    on the left side and 0 on the right, the network conducts G, so scaling
+    by U = big_h / G makes the big horizontal side U, each tile's
+    horizontal side its potential drop times U, and its vertical side that
+    times 1/aspect, its current.  Each node and cut is placed at the start
+    of a tile ending on it plus that tile's width or height; whichever tile
+    reaches it, a node lands at (1 - V) * U and a cut at one height.  The
+    result is geometrically validated.  Four tiles meeting at a point (the
+    Euler count), nonpositive sides, and a contradicted declared width
+    raise ``SizingError``.
     """
+    if d.is_sized:
+        validate_geometric(d).require()
+        cs = extract_cuts(d)
+        edges = _edges(cs, {t.tid: t.rect[2] for t in d.tiles},
+                       {t.tid: t.rect[3] for t in d.tiles}, d.field.zero)
+        for t in d.tiles:
+            x, y, w, h = t.rect
+            if edges[t.tid] != (x, x + w, y, y + h):
+                raise DissectionError(f"tile {t.tid}'s rect is not the one its sketch sizes to")
+        # times one, so that int big sides give a field ratio, not a float
+        return SizingResult(d, d.field.one * d.big_w / d.big_h, cs)
     cs = extract_cuts(d)
     field = d.field
     normalization = d.big_h if d.big_h is not None else field.one
@@ -400,28 +425,28 @@ def solve_sizes(d: Dissection) -> SizingResult:
             f"width {format_scalar(x_val)}"
         )
 
-    node_x = _place([n.left_tiles for n in cs.v_nodes], cs.tile_ends, h, zero)
-    cut_y = _place([c.below_tiles for c in cs.h_cuts], cs.tile_spans, v, zero)
-    tiles = tuple(
-        Tile(
-            t.tid,
-            t.sketch,
-            t.aspect,
-            (
-                node_x[cs.tile_ends[t.tid][0]],
-                cut_y[cs.tile_spans[t.tid][0]],
-                h[t.tid],
-                v[t.tid],
-            ),
-        )
-        for t in d.tiles
-    )
+    edges = _edges(cs, h, v, zero)
+    tiles = tuple(Tile(t.tid, t.sketch, t.aspect,
+                       (edges[t.tid][0], edges[t.tid][2], h[t.tid], v[t.tid]))
+                  for t in d.tiles)
     sized = Dissection(field, tiles, big_w=x_val, big_h=normalization)
     validate_geometric(sized).require(
         SizingError, "solved sides do not assemble into an exact tiling"
     )
     ratio = x_val / normalization
     return SizingResult(sized, ratio, cs)
+
+
+def _edges(cs: CutStructure, widths, heights, zero) -> dict:
+    """Each tile's (left, right, bottom, top) edge, as ``_place`` lays the
+    widths and heights on the cuts of ``cs``."""
+    node_x = _place([n.left_tiles for n in cs.v_nodes], cs.tile_ends, widths, zero)
+    cut_y = _place([c.below_tiles for c in cs.h_cuts], cs.tile_spans, heights, zero)
+    edges = {}
+    for tid, (left, right) in cs.tile_ends.items():
+        bottom, top = cs.tile_spans[tid]
+        edges[tid] = (node_x[left], node_x[right], cut_y[bottom], cut_y[top])
+    return edges
 
 
 def _place(ending, ends, size, zero) -> list:

@@ -14,20 +14,20 @@ unless they fail.  ``certify_equivalence`` here is the version that did
 both, copied verbatim but for its network, built from the cuts by
 ``_network`` without validating the sizes (the two-argument
 ``circuit_of_dissection`` it called did the same).  It looks up the
-package's own ``_sizing_of`` and ``_obeys_circuit_laws``, so a patched
-sizing reaches both versions.  ``test_certificate_exactness.py`` requires
-equal reports.
+package's own ``correspondence.solve_sizes`` and ``_obeys_circuit_laws``,
+so a patched sizing reaches both versions.  ``test_certificate_exactness.py``
+requires equal reports.
 """
 
 from __future__ import annotations
 
+from tilecircuit import correspondence
 from tilecircuit.circuit import Netlist, solve_flow
 from tilecircuit.correspondence import (
     EquivalenceReport,
     TileCurrent,
     _network,
     _obeys_circuit_laws,
-    _sizing_of,
 )
 from tilecircuit.dissection import Dissection, junction_system
 from tilecircuit.fields import zero_like
@@ -86,7 +86,7 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     A sized ``d`` must pass geometric validation, and each of its rects must
     be the one its sketch sizes to.
     """
-    sizing = _sizing_of(d)
+    sizing = correspondence.solve_sizes(d)
     sized = sizing.sized
     net = _network(sized.tiles, sizing.cuts, lambda t: t.aspect, sized.big_w)
     u, heights = net.battery.voltage, {t.tid: t.rect[3] for t in sized.tiles}

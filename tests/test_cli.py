@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -245,16 +246,17 @@ def test_to_circuit_of_a_sized_tiling(tmp_path, capsys):
     assert out.splitlines()[-1] == "V L R 2"
 
 
+# the rects lie side by side in a 2x1 rectangle, the sketch stacks them
+STACKED_SKETCH = _dissection(big={"w": "2", "h": "1"}, tiles=[
+    {"id": 1, "sketch": [0, 0, 2, 0.5], "aspect": "1", "rect": ["0", "0", "1", "1"]},
+    {"id": 2, "sketch": [0, 0.5, 2, 0.5], "aspect": "1", "rect": ["1", "0", "1", "1"]}])
+
+
 def test_to_circuit_refuses_a_sketch_that_contradicts_its_rects(tmp_path, capsys):
-    # the rects lie side by side in a 2x1 rectangle, the sketch stacks them
-    tiles = [{"id": 1, "sketch": [0, 0, 2, 0.5], "aspect": "1", "rect": ["0", "0", "1", "1"]},
-             {"id": 2, "sketch": [0, 0.5, 2, 0.5], "aspect": "1",
-              "rect": ["1", "0", "1", "1"]}]
     path = tmp_path / "input.json"
-    path.write_text(_dissection(big={"w": "2", "h": "1"}, tiles=tiles))
+    path.write_text(STACKED_SKETCH)
     assert invoke(capsys, "validate", str(path)) == (0, "valid tiling\n", "")
-    message = ("error: the sketch contradicts the rects: "
-               "its cuts do not carry the exact sizes\n")
+    message = "error: tile 2's rect is not the one its sketch sizes to\n"
     assert invoke(capsys, "to-circuit", str(path)) == (1, "", message)
     assert invoke(capsys, "--json", "to-circuit", str(path)) == (1, "", message)
 
@@ -300,6 +302,81 @@ def test_theorem1_trusts_no_rect(tmp_path, capsys):
     path.write_text(content)
     assert invoke(capsys, "theorem1", str(path)) == (1, "", message)
     assert invoke(capsys, "--json", "theorem1", str(path)) == (1, "", message)
+
+
+def _partly_sized(unset):
+    """wall_q_sized with tile 1 a unit square and ``unset`` made null."""
+    wall = json.loads(_wall_q_sized_with_tile_1_at(["0", "0", "1", "1"]))
+    if unset == "big h":
+        wall["big"]["h"] = None
+    else:
+        wall["tiles"][1]["rect"] = None  # tile 2's
+    return json.dumps(wall)
+
+
+# Every command that reads a dissection's sizes reads them through
+# solve_sizes.  A sized file keeps its rects once they tile the big
+# rectangle and lie on its sketch's cuts, four-tile points included; a file
+# that sizes only part of itself is malformed.  Each file maps to its exit
+# code and stderr, the same for solve, to-circuit, equiv-check, theorem1
+# and render in text and --json.  The swapped rows went through to-circuit
+# and render, the stacked sketch failed with another message, the 2x2 grid
+# was "under-determined" for solve, equiv-check and theorem1, and the
+# partly sized files were re-sized from their sketches.
+GATED_FILES = {
+    "two rows whose rects swap": (
+        UNTRUSTED_RECTS["two rows whose rects swap"][0], 1,
+        "error: tile 1's rect is not the one its sketch sizes to\n"),
+    "a sketch that stacks side-by-side rects": (
+        STACKED_SKETCH, 1, "error: tile 2's rect is not the one its sketch sizes to\n"),
+    "a sized 2x2 grid of 1/2 squares": (
+        _dissection(tiles=[
+            {"id": tid, "sketch": [x, y, 1, 1], "aspect": "1",
+             "rect": [str(Fraction(x, 2)), str(Fraction(y, 2)), "1/2", "1/2"]}
+            for tid, (x, y) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1)), 1)]),
+        0, ""),
+    "wall_q_sized partly sized, no big h": (
+        _partly_sized("big h"), 2, "error: a dissection with rects needs both big sides\n"),
+    "wall_q_sized partly sized, no rect on tile 2": (
+        _partly_sized("tile 2"), 2, "error: tile 2 has no rect, but other tiles have one\n"),
+}
+
+# the sized 2x2 grid's output, text and then --json
+GRID_OUTPUT = {
+    "solve": ("x = 1\n1/x = 1\n" + "".join(f"tile {k}: 1/2 x 1/2\n" for k in range(1, 5)),
+              {"x": "1", "1/x": "1", "sides": dict.fromkeys("1234", "1/2")}),
+    "to-circuit": ("R 1 L n1 1\nR 2 n1 R 1\nR 3 L n1 1\nR 4 n1 R 1\nV L R 1\n",
+                   {"netlist": "R 1 L n1 1\nR 2 n1 R 1\nR 3 L n1 1\nR 4 n1 R 1\nV L R 1\n"}),
+    "equiv-check": ("dissection and circuit agree exactly\nresistance = big ratio = 1\n",
+                    {"ok": True, "battery_current": "1", "resistance": "1", "big_ratio": "1",
+                     "mismatches": [],
+                     "tiles": {k: {"side": "1/2", "current": "1/2"} for k in "1234"}}),
+    "theorem1": ("F(x) = x - 1\nR = 1\nF(R) = 0\n", {"F": "x - 1", "R": "1", "F(R)": "0"}),
+    "render": ("wrote {svg}\n", {"written": "{svg}"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED_FILES))
+def test_every_command_reads_sizes_through_one_gate(name, tmp_path, capsys):
+    content, code, message = GATED_FILES[name]
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    svg = str(tmp_path / "out.svg")
+    for command, (text, payload) in GRID_OUTPUT.items():
+        argv = [command, str(path)] + (["-o", svg] if command == "render" else [])
+        if code:
+            assert invoke(capsys, *argv) == (code, "", message)
+            assert invoke(capsys, "--json", *argv) == (code, "", message)
+            continue
+        assert invoke(capsys, *argv) == (0, text.replace("{svg}", svg), "")
+        code_json, out, err = invoke(capsys, "--json", *argv)
+        payload = json.loads(json.dumps(payload).replace("{svg}", svg))
+        assert (code_json, json.loads(out), err) == (0, payload, "")
+    assert (tmp_path / "out.svg").exists() == (code == 0)
+    if code == 2:  # malformed for the commands that read only rects, too
+        for command in ("validate", "dehn-check"):
+            assert invoke(capsys, command, str(path)) == (2, "", message)
+            assert invoke(capsys, "--json", command, str(path)) == (2, "", message)
 
 
 # five_similar.json solved with --out, then one rect changed by the tile id,

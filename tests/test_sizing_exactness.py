@@ -14,7 +14,10 @@ right, wrong or nonpositive.
 The Euler count that replaces the elimination's verdict is checked
 against ``gauss_jordan`` on the same sketches, and no sizing or
 certificate may run ``gauss_jordan`` at all.  A certificate runs the
-Laplacian elimination once, for the sizing, and never again for the flow.
+Laplacian elimination once, for a sketch's sizing, and never again for the
+flow.  A sized tiling is checked on its sketch's cuts and eliminated never:
+it is its own sizing, with or without four-tile points, and swapping the
+rects of two equal tiles is refused.
 """
 
 import dataclasses
@@ -38,10 +41,12 @@ from tilecircuit import (
     SizingError,
     Tile,
     certify_equivalence,
+    circuit_of_dissection,
     extract_cuts,
     junction_system,
     solve_sizes,
     theorem1_certificate,
+    validate_geometric,
 )
 from tilecircuit.linear import gauss_jordan
 
@@ -190,12 +195,27 @@ def test_random_sketches_match_reference(field, data):
         assert_same(variant)
 
 
+def sketch_of(d):
+    """d without its rects."""
+    return dataclasses.replace(d, tiles=[dataclasses.replace(t, rect=None) for t in d.tiles])
+
+
 @pytest.mark.parametrize("name, d", sorted(tilings().items()))
 def test_fixture_dissections_match_reference(name, d):
+    """A sketch sizes as the reference sizes it; a sized tiling is its own
+    sketch's sizing, kept as it is, and refused once a big side changes."""
     two = d.field.one + d.field.one
-    for variant in declared_widths(d, two):
+    sketch = sketch_of(d)
+    for variant in declared_widths(sketch, two):
         assert_same(variant)
         assert_same(dataclasses.replace(variant, big_h=two))
+    if d.is_sized:
+        assert outcome(solve_sizes, d) == outcome(ref.solve_sizes, sketch)
+        assert solve_sizes(d).sized is d
+        for variant in (dataclasses.replace(d, big_w=d.big_w * two),
+                        dataclasses.replace(d, big_h=d.big_h * two)):
+            with pytest.raises(DissectionError, match="^dissection fails geometric validation"):
+                solve_sizes(variant)
 
 
 # --- the Euler count decides what the elimination decided ---------------------
@@ -276,9 +296,10 @@ def test_sizing_and_certificates_call_no_gauss_jordan(name, d, gauss_jordan_call
 
 @pytest.mark.parametrize("name, d", sorted(tilings().items()))
 def test_one_laplacian_elimination_per_certificate(name, d):
+    """One for a sketch's sizing; none for a sized tiling, which is checked."""
     with counted_eliminations() as calls:
         assert certify_equivalence(d).ok
-    assert len(calls) == 1
+    assert len(calls) == (0 if d.is_sized else 1)
 
 
 @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
@@ -302,6 +323,118 @@ def test_one_laplacian_elimination_per_wall_certificate(field, data):
     with counted_eliminations() as calls:
         assert certify_equivalence(d).ok
     assert len(calls) == 1
+
+
+# --- a sized file is checked, not solved ----------------------------------------
+
+
+def sized_from(spec, rects):
+    """The exact tiling of the rects, drawn as its own sketch."""
+    top = max(r[1] + r[3] for r in rects)
+    tiles = [Tile(tid, tuple(float(c) for c in rect), rect[2] / rect[3], rect)
+             for tid, rect in enumerate(rects, 1)]
+    return Dissection(spec, tiles, big_w=rects[-1][0] + rects[-1][2], big_h=top)
+
+
+@pytest.mark.parametrize("name, d", sorted(tilings().items()))
+def test_only_a_sketch_is_solved(name, d, monkeypatch):
+    """Every reader of sizes sizes a sketch by one grounded Laplacian solve
+    and a sized tiling by none; only theorem 1's symbolic resistance, which
+    it computes in both cases, eliminates then."""
+    sketch, sized = sketch_of(d), solve_sizes(d).sized
+    sizings = []
+    potentials = tilecircuit.dissection.laplacian_potentials
+    monkeypatch.setattr(tilecircuit.dissection, "laplacian_potentials",
+                        lambda *args: sizings.append(args) or potentials(*args))
+    readers = [solve_sizes, certify_equivalence, circuit_of_dissection]
+    if name in ("five_similar", "ladder_sqrt3"):
+        readers.append(theorem1_certificate)
+    for reader in readers:
+        for given, count in ((sketch, 1), (sized, 0)):
+            sizings.clear()
+            with counted_eliminations() as calls:
+                reader(given)
+            assert len(sizings) == count
+            if reader is not theorem1_certificate:
+                assert len(calls) == count
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_sizing_is_its_own_sizing(field, data):
+    """Reading a sizing back gives it again, types included, and solves nothing."""
+    spec, values = FIELDS[field]
+    sized = sized_from(spec, data.draw(walls(values)))
+    sketch = dataclasses.replace(
+        sized, tiles=[dataclasses.replace(t, rect=None) for t in sized.tiles], big_w=None)
+    try:
+        sizing = solve_sizes(sketch)
+    except DissectionError as exc:
+        if isinstance(exc, SizingError) or COLLAPSE.fullmatch(str(exc)):
+            assume(False)
+        raise
+    assert sizing.sized == sized
+    with counted_eliminations() as calls:
+        again = outcome(solve_sizes, sizing.sized)
+    assert calls == []
+    assert again == outcome(lambda _: sizing, None)
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_sized_wall_certifies_without_elimination(field, data):
+    """Walls, and grids, whose joints all line up: their four-tile points
+    leave a sketch unsizable, but a sized file needs no Euler count."""
+    spec, values = FIELDS[field]
+    aligned = data.draw(st.booleans())
+    sized = sized_from(spec, data.draw(grids(values) if aligned else walls(values)))
+    try:
+        extract_cuts(sized)
+    except DissectionError as exc:
+        assume(not COLLAPSE.fullmatch(str(exc)))
+        raise
+    if aligned:
+        sketch = dataclasses.replace(
+            sized, tiles=[dataclasses.replace(t, rect=None) for t in sized.tiles])
+        with pytest.raises(SizingError, match="^combinatorics under-determined$"):
+            solve_sizes(sketch)
+    with counted_eliminations() as calls:
+        assert certify_equivalence(sized).ok
+        assert solve_sizes(sized).sized is sized
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_swapped_equal_tiles_are_refused(field, data):
+    """A wall's bottom row laid again on top: a brick and its copy have the
+    same size, so swapping their rects leaves a valid tiling that is not
+    the one the sketch sizes to."""
+    spec, values = FIELDS[field]
+    rects = data.draw(walls(values))
+    bottom = [r for r in rects if r[1] == rects[0][1]]
+    top = max(r[1] + r[3] for r in rects)
+    rects += [(x, top, w, h) for x, _, w, h in bottom]
+    a = data.draw(st.integers(0, len(bottom) - 1))
+    b = len(rects) - len(bottom) + a
+    sized = sized_from(spec, rects)
+    try:
+        extract_cuts(sized)
+    except DissectionError as exc:
+        assume(not COLLAPSE.fullmatch(str(exc)))
+        raise
+    tiles = list(sized.tiles)
+    tiles[a], tiles[b] = (dataclasses.replace(tiles[a], rect=rects[b]),
+                          dataclasses.replace(tiles[b], rect=rects[a]))
+    swapped = dataclasses.replace(sized, tiles=tiles)
+    assert validate_geometric(swapped).ok
+    message = f"^tile {a + 1}'s rect is not the one its sketch sizes to$"
+    for check in (solve_sizes, certify_equivalence, circuit_of_dissection):
+        with pytest.raises(DissectionError, match=message):
+            check(swapped)
 
 
 COLLAPSE = re.compile(r"tile \d+ collapses at sketch tolerance")
