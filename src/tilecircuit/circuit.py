@@ -32,7 +32,7 @@ Scalars use the shared textual syntax; in symbolic mode the bare token
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .fields import (
@@ -299,17 +299,21 @@ def symbolic_resistance(net: Netlist) -> RatFunc:
 
     With r_e = a_e/b_e, the matrix-tree theorem gives the resistance as
     N/D, where N = det L(+,-) * prod a_e and D = det L(-) * prod a_e are
-    polynomials of degree at most K = sum max(deg a_e, deg b_e).  Both are
-    evaluated at t = 1, ..., K+1, where every r_e is positive, and fitted
-    by Newton divided differences.
+    polynomials of degree at most K = sum max(deg a_e, deg b_e), where k
+    equal resistors in parallel count as one edge.  Both are evaluated at
+    t = 1, ..., K+1, where every r_e is positive, and fitted by Newton
+    divided differences.
     """
     for r in net.resistors:
         if not isinstance(r.value, RatFunc):
             raise CircuitError(f"resistor {r.rid} is not symbolic")
     if net.battery.voltage != RatFunc.constant(1):
         raise CircuitError("symbolic resistance expects a unit battery")
-    edges = [(r.node_a, r.node_b, r.value.num, r.value.den)
-             for r in net.resistors if r.node_a != r.node_b]
+    # k parallel copies of one value a/b are one edge of conductance k*b/a
+    copies = Counter((*sorted((r.node_a, r.node_b)), r.value)
+                     for r in net.resistors if r.node_a != r.node_b)
+    edges = [(node_a, node_b, value.num, value.den * k)
+             for (node_a, node_b, value), k in copies.items()]
     degree = sum(max(a.degree, b.degree) for _, _, a, b in edges)
     num_values, den_values = [], []
     for t0 in range(1, degree + 2):

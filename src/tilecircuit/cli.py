@@ -80,7 +80,9 @@ def _cmd_validate(args, out: _Output) -> int:
 def _cmd_solve(args, out: _Output) -> int:
     d = load_dissection(_read(args.dissection))
     result = solve_sizes(d)
-    x = result.sized.big_w / result.sized.big_h
+    if args.out:
+        _write(args.out, dump_dissection(result.sized))
+    x = result.ratio
     payload = {
         "x": format_scalar(x),
         "1/x": format_scalar(one_like(x) / x),
@@ -96,8 +98,6 @@ def _cmd_solve(args, out: _Output) -> int:
         for t in result.sized.tiles
     ]
     out.emit(payload, lines)
-    if args.out:
-        _write(args.out, dump_dissection(result.sized))
     return PASS
 
 

@@ -56,7 +56,7 @@ class _MalformedDissection(DissectionError, InputError):
 
 
 class SizingError(DissectionError):
-    """The junction system does not size this combinatorics."""
+    """A sketch that its aspects and declared sides do not size into a tiling."""
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ class SizingResult:
 def solve_sizes(d: Dissection) -> SizingResult:
     """The exact sizing of a dissection: a sketch's solved, a sized one's checked.
 
-    A sized ``d`` keeps its sizes, with no elimination and no Euler count.
+    A sized ``d`` keeps its sizes, with no elimination.
     Its rects must pass geometric validation, and ``_place``, laying its
     widths and heights on its sketch's cuts, must give back every rect and
     far edge; otherwise the error names the first tile that differs.  Its
@@ -376,12 +376,12 @@ def solve_sizes(d: Dissection) -> SizingResult:
     on the left side and 0 on the right, the network conducts G, so scaling
     by U = big_h / G makes the big horizontal side U, each tile's
     horizontal side its potential drop times U, and its vertical side that
-    times 1/aspect, its current.  Each node and cut is placed at the start
-    of a tile ending on it plus that tile's width or height; whichever tile
-    reaches it, a node lands at (1 - V) * U and a cut at one height.  The
-    result is geometrically validated.  Four tiles meeting at a point (the
-    Euler count), nonpositive sides, and a contradicted declared width
-    raise ``SizingError``.
+    times 1/aspect, its current.  The grounded Laplacian is nonsingular:
+    no other sizing exists, four-tile points or not.  Each node and cut
+    sits at the start of a tile ending on it plus that tile's width or
+    height; a node lands at (1 - V) * U whichever tile reaches it.
+    Nonpositive sides, a contradicted width and a result that fails
+    geometric validation (aspects that cannot realise it) raise ``SizingError``.
     """
     if d.is_sized:
         validate_geometric(d).require()
@@ -399,10 +399,6 @@ def solve_sizes(d: Dissection) -> SizingResult:
     normalization = d.big_h if d.big_h is not None else field.one
     if not normalization > field.zero:
         raise SizingError("big vertical side must be positive")
-    # The junction system has V + H - 2 equations for T + 1 unknowns, and a
-    # point where four tiles meet leaves it one equation short.
-    if len(d.tiles) + 1 != len(cs.v_nodes) + len(cs.h_cuts) - 2:
-        raise SizingError("combinatorics under-determined")
 
     g = {t.tid: field.one / t.aspect for t in d.tiles}
     potential, conductance = laplacian_potentials(

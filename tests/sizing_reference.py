@@ -1,12 +1,14 @@
 """The sizing routine as it stood when it eliminated the junction system, kept as a test oracle.
 
 ``tilecircuit.dissection.solve_sizes`` now sizes a sketch by one grounded
-Laplacian solve of the dual network, reads the x-coordinates off the node
-potentials and refuses four-tile points by the Euler count.  This is the
-function it replaced, copied verbatim with its result type and position
-propagator: it builds ``junction_system``, solves it with ``gauss_jordan``
-and propagates both x and y.  ``test_sizing_exactness.py`` requires both to
-give the same sizing, value types included, or the same exception.
+Laplacian solve of the dual network and reads the x-coordinates off the
+node potentials.  This is the function it replaced, copied verbatim with
+its result type and position propagator: it builds ``junction_system``,
+solves it with ``gauss_jordan`` and propagates both x and y.  Where four
+tiles meet at a point the junction system is one equation short, and this
+function refuses the sketch as "combinatorics under-determined", which the
+library sizes.  On every other sketch ``test_sizing_exactness.py`` requires
+both to give the same sizing, value types included, or the same exception.
 """
 
 from __future__ import annotations

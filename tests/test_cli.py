@@ -221,7 +221,7 @@ UNTRUSTED_WIDTHS = {
         "error: declared width 7 contradicts the solved width 2\n"),
     "a 2x2 grid declaring its width": (
         _squares([(0, 0), (1, 0), (0, 1), (1, 1)], w="2"), "solve",
-        "error: combinatorics under-determined\n"),
+        "error: declared width 2 contradicts the solved width 1\n"),
     "a sized file that is no tiling": (
         _squares([(0, 0), (1, 0)], rects=True, w="5", h="1"), "dehn-check",
         "error: dissection fails geometric validation: "
@@ -244,6 +244,25 @@ def test_to_circuit_of_a_sized_tiling(tmp_path, capsys):
     code, out, _ = invoke(capsys, "to-circuit", str(path))
     assert code == 0
     assert out.splitlines()[-1] == "V L R 2"
+
+
+# solve printed its whole sizing before it failed to write --out
+UNWRITABLE_OUT = {
+    "solve": ["solve", str(DATA / "shelf.json"), "--out"],
+    "to-circuit": ["to-circuit", str(DATA / "shelf.json"), "--out"],
+    "render": ["render", str(DATA / "shelf.json"), "-o"],
+    "lfs build": ["lfs", "build", str(DATA / "ladder_sqrt3.json"), "--out"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE_OUT))
+def test_a_writer_that_cannot_write_prints_nothing(name, tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    for argv in (UNWRITABLE_OUT[name], ["--json", *UNWRITABLE_OUT[name]]):
+        code, out, err = invoke(capsys, *argv, str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 # the rects lie side by side in a 2x1 rectangle, the sketch stacks them

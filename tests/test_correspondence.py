@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import random
 from fractions import Fraction
 
@@ -409,37 +408,72 @@ def _squarefree_split(n: int):
     return s, d * n
 
 
+def assert_sketch_round_trip(tiling):
+    """The ladder tiling without its rects and big sides sizes to exactly
+    its rects, certifies, and gives the tiling's theorem-1 polynomial."""
+    sketch = Dissection(tiling.field, [dataclasses.replace(t, rect=None) for t in tiling.tiles])
+    sizing = solve_sizes(sketch)
+    assert [t.rect for t in sizing.sized.tiles] == [t.rect for t in tiling.tiles]
+    assert certify_equivalence(sketch).ok
+    ratio = infer_ratio(tiling)
+    assert theorem1_certificate(sketch, ratio) == theorem1_certificate(tiling, ratio)
+
+
+# each ladder's theorem-1 polynomial; a coefficient p/q with p, q > 1 fills
+# its slab with a q-by-p grid, whose four-tile points the sketch sizes
+LADDERS = {
+    "R = 7/5, c = [5/7]": (
+        FieldSpec.rational(), Fraction(7, 5), (Fraction(5, 7),), "5*x^2 - 7*x"),
+    "R = 2+sqrt3, c = (1/4, 4)": (
+        FieldSpec.quadratic(3), QuadExt(Fraction(2), Fraction(1), 3),
+        (Fraction(1, 4), Fraction(4)), "x^2 - 4*x + 1"),
+    "R = 1+sqrt2/2, c = (1/2, 4)": (
+        FieldSpec.quadratic(2), QuadExt(Fraction(1), Fraction(1, 2), 2),
+        (Fraction(1, 2), Fraction(4)), "2*x^2 - 4*x + 1"),
+    "R = (3+sqrt3)/2, c = (1/3, 2)": (
+        FieldSpec.quadratic(3), golden_ratio_like(),
+        (Fraction(1, 3), Fraction(2)), "2*x^2 - 6*x + 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_a_ladder_sizes_from_its_sketch(name):
+    field, r, coefficients, polynomial = LADDERS[name]
+    tiling = ladder_dissection(LadderSpec(field, r, coefficients))
+    assert theorem1_certificate(tiling, infer_ratio(tiling)).format("x") == polynomial
+    assert_sketch_round_trip(tiling)
+
+
 def test_ladder_soundness_random():
-    # two-rung ladders c = (1/a, b): the value-1 identity pins R as the
-    # positive root of b R^2 - ab R + a, generally in a quadratic field.
-    # Coefficients of this shape keep every slab a single file of tiles;
-    # grids with both dimensions > 1 would meet at interior cross points,
-    # which the maximal-segment cut reading deliberately leaves aside.
+    # two-rung ladders c = (c1, c2) of any positive rationals: the value-1
+    # identity c1 R + 1/(c2 R) = 1 pins R as a root of
+    # c1 c2 R^2 - c2 R + 1, generally in a quadratic field; both roots are
+    # positive once c2 > 4 c1.  A coefficient p/q fills its slab with a
+    # q-by-p grid, so p, q > 1 gives four-tile points.
     rng = random.Random(23)
     built = 0
     while built < 15:
-        a = rng.randint(1, 6)
-        b = rng.randint(1, 6)
-        # coprime row counts keep the two stages' cut heights disjoint,
-        # so no cut of one block continues collinearly into the other
-        if a * b <= 4 or math.gcd(a, b) != 1:
+        c1, c2 = (Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(2))
+        disc = c2 * c2 - 4 * c1 * c2
+        if not disc > 0:
             continue
-        disc = a * b * (a * b - 4)
-        s, d = _squarefree_split(disc)
+        s, d = _squarefree_split(disc.numerator * disc.denominator)
+        sign = rng.choice((1, -1))
         if d == 1:
             field = FieldSpec.rational()
-            r = Fraction(a * b + s, 2 * b)
+            r = (c2 + sign * Fraction(s, disc.denominator)) / (2 * c1 * c2)
         else:
             field = FieldSpec.quadratic(d)
-            r = QuadExt(Fraction(a * b, 2 * b), Fraction(s, 2 * b), d)
-        spec = LadderSpec(field, r, (Fraction(1, a), Fraction(b)))
+            r = QuadExt(c2, sign * Fraction(s, disc.denominator), d) / (2 * c1 * c2)
+        spec = LadderSpec(field, r, (c1, c2))
         assert cf_eval(spec) == 1
         tiling = ladder_dissection(spec)
-        assert len(tiling.tiles) == a + b
+        assert len(tiling.tiles) == sum(c.numerator * c.denominator for c in (c1, c2))
         assert validate_geometric(tiling).ok
         assert solve_sizes(tiling).ratio == 1
         inv = 1 / r
         assert all(t.aspect == r or t.aspect == inv for t in tiling.tiles)
+        assert_sketch_round_trip(tiling)
         built += 1
 
 

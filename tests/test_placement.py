@@ -7,8 +7,10 @@ segment 0 is the left or bottom boundary, every tile starts on a lower
 segment id than it ends on, and every other segment has a tile ending on
 it; the cut structures of random sketches must have all three.  In every
 sized result, all tiles ending or starting on a segment must then agree on
-its position, which the pass itself never compares: the Euler count and
-Kirchhoff's current law make it hold.
+its position, which the pass itself never compares.  On a vertical node
+the potentials make them agree; elsewhere, four-tile points included,
+only the geometric validation of the result stands behind it, and this
+property checks it.
 
 The sketches are those of ``test_sizing_exactness.py`` (walls, guillotine
 cuttings, grids and pinwheels over Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5),

@@ -7,7 +7,8 @@ type with the same message, on random connected multigraphs (self-loops,
 parallel edges, either orientation, values ``c``, ``c*t`` and their
 positive sums, products and quotients), on networks whose terminals are
 joined only through the battery, on the theorem-1 networks of the test
-tilings and on the networks of every test dissection.
+tilings and on the networks of every test dissection.  Equal resistors in
+parallel are one edge, so they cost one sample point, not one each.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import symbolic_reference as ref
-from conftest import multigraphs, tilings
+from conftest import counted_eliminations, multigraphs, tilings
 from tilecircuit import (
     Battery,
     CircuitError,
@@ -89,3 +90,16 @@ def test_theorem1_certificates_match_reference(name, monkeypatch):
     certificate = theorem1_certificate(d)
     monkeypatch.setattr(correspondence, "symbolic_resistance", ref.symbolic_resistance)
     assert theorem1_certificate(d) == certificate
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 30])
+def test_equal_parallel_resistors_are_one_edge(k):
+    """k copies of t across the battery, either way round: t/k, from the
+    determinants at t = 1 and 2 only."""
+    ends = [("a", "b"), ("b", "a")]
+    net = Netlist([Resistor(rid, *ends[rid % 2], T) for rid in range(1, k + 1)],
+                  Battery("a", "b", ONE))
+    with counted_eliminations() as calls:
+        assert symbolic_resistance(net) == T / k
+    assert len(calls) == 2
+    assert_same(net)
