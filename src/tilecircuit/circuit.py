@@ -21,7 +21,7 @@ denominator, so it is positive at every t > 0.
 
 Netlist text format, one item per line ("#" starts a comment):
 
-    N <name>                      optional isolated-node declaration
+    N <name>                      optional; names a node that an edge touches
     R <id> <node_a> <node_b> <scalar>
     V <node_plus> <node_minus> <scalar>    exactly once
 
@@ -459,14 +459,8 @@ def parse_netlist(text: str, symbolic: bool = False) -> Netlist:
 
 
 def format_netlist(net: Netlist) -> str:
-    lines = []
-    endpoint_nodes = {net.battery.plus, net.battery.minus}
-    for r in net.resistors:
-        endpoint_nodes.update((r.node_a, r.node_b))
-    for node in sorted(net.declared_nodes - endpoint_nodes):
-        lines.append(f"N {node}")
-    for r in net.resistors:
-        lines.append(f"R {r.rid} {r.node_a} {r.node_b} {format_scalar(r.value)}")
+    lines = [f"R {r.rid} {r.node_a} {r.node_b} {format_scalar(r.value)}"
+             for r in net.resistors]
     b = net.battery
     lines.append(f"V {b.plus} {b.minus} {format_scalar(b.voltage)}")
     return "\n".join(lines) + "\n"

@@ -27,8 +27,8 @@ into rectangles of ratio R and 1/R:
     q(x^2)*x - p(x^2) that provably vanishes at R.
   * ``ladder_dissection`` constructs, from positive rationals c_1..c_n whose
     ladder continued fraction in R equals 1, an explicit unit-square tiling
-    by ratio-R and ratio-1/R rectangles (a slab of fitting grid tiles plus a
-    transposed remainder, recursively).
+    by ratio-R and ratio-1/R rectangles (one slab per coefficient, tiled by
+    Euclid's algorithm, and a transposed remainder for the next).
 
 Ladder file format (JSON)::
 
@@ -329,7 +329,7 @@ def infer_ratio(d: Dissection):
 # --- ladder continued fractions and their dissections -----------------------
 
 
-MAX_LADDER_TILES = 10_000  # coefficient p/q builds a q-by-p grid of tiles
+MAX_LADDER_TILES = 10_000  # p/q builds as many tiles as its partial quotients add up to
 
 
 class LadderError(Exception):
@@ -385,17 +385,29 @@ def cf_eval(spec: LadderSpec):
     return ladder_tails(spec)[0]
 
 
+def _euclid(c: Fraction):
+    """Euclid's algorithm on c = p/q: (quotient, divisor) per step."""
+    p, q = c.numerator, c.denominator
+    while q:
+        yield p // q, q
+        p, q = q, p % q
+
+
 def ladder_dissection(spec: LadderSpec) -> Dissection:
     """Unit-square tiling by ratio-R and ratio-1/R rectangles from a ladder.
 
     Working inward, coefficient c_k = p/q claims a slab of the current
-    rectangle and fills it with a q-by-p grid of correctly oriented tiles;
-    the remainder has aspect 1/T_{k+1} and is processed with orientations
-    transposed.  Validity of the ladder (all tails positive, value exactly
-    1) guarantees the construction closes up exactly.  A ladder of more
-    than ``MAX_LADDER_TILES`` tiles is refused before anything is built.
+    frame, c_k R times as long along it as the frame is across; along is x
+    for even k and y for odd k.  The remainder, of aspect 1/T_{k+1}, is the
+    next frame, transposed.  Shrunk by R along, the slab is a p-by-q
+    rectangle in units of across/q, which Euclid's algorithm tiles by
+    squares, as many of each size as its partial quotient of p/q; a side-s
+    square is an R*s-by-s tile in those units, of aspect R for even k and
+    1/R for odd k.  Validity of the ladder (all tails positive, value
+    exactly 1) guarantees the construction closes up exactly.  A ladder of
+    more than ``MAX_LADDER_TILES`` tiles is refused before anything is built.
     """
-    if sum(c.numerator * c.denominator for c in spec.coefficients) > MAX_LADDER_TILES:
+    if sum(n for c in spec.coefficients for n, _ in _euclid(c)) > MAX_LADDER_TILES:
         raise _MalformedLadder(f"ladder would build more than {MAX_LADDER_TILES} tiles")
     tails = ladder_tails(spec)
     one = one_like(spec.ratio)
@@ -409,50 +421,25 @@ def ladder_dissection(spec: LadderSpec) -> Dissection:
         )
 
     r = spec.ratio
+    aspects = (r, one / r)
     tiles: list[Tile] = []
-
-    def emit(x, y, w, h, aspect):
-        tid = len(tiles) + 1
-        tiles.append(
-            Tile(
-                tid,
-                (float(x), float(y), float(w), float(h)),
-                aspect,
-                (x, y, w, h),
-            )
-        )
-
-    def fill(x, y, w, h, k: int, transposed: bool):
-        c = spec.coefficients[k]
-        p, q = c.numerator, c.denominator
-        if not transposed:
-            # vertical slab on the left: q rows by p columns of ratio-R tiles
-            slab_w = c * r * h
-            cell_w = slab_w / p
-            cell_h = h / q
-            for col in range(p):
-                for row in range(q):
-                    emit(x + cell_w * col, y + cell_h * row, cell_w, cell_h, r)
-            rest_w = w - slab_w
-            if k + 1 < len(spec.coefficients):
-                fill(x + slab_w, y, rest_w, h, k + 1, True)
-            elif rest_w != zero:
-                raise LadderError("ladder does not close up exactly")
-        else:
-            # horizontal slab at the bottom: p rows by q columns of 1/R tiles
-            slab_h = c * r * w
-            cell_w = w / q
-            cell_h = slab_h / p
-            for col in range(q):
-                for row in range(p):
-                    emit(x + cell_w * col, y + cell_h * row, cell_w, cell_h, one / r)
-            rest_h = h - slab_h
-            if k + 1 < len(spec.coefficients):
-                fill(x, y + slab_h, w, rest_h, k + 1, False)
-            elif rest_h != zero:
-                raise LadderError("ladder does not close up exactly")
-
-    fill(zero, zero, one, one, 0, False)
+    start = side = zero  # the frame's corner, along and across
+    along = across = one
+    for k, c in enumerate(spec.coefficients):
+        u = across / c.denominator
+        ru = r * u
+        offset = [0, 0]  # the next square's, along and across, in units u
+        for step, (n, s) in enumerate(_euclid(c)):
+            la, lb = ru * s, u * s
+            for _ in range(n):
+                a, b = start + ru * offset[0], side + u * offset[1]
+                rect = (a, b, la, lb) if k % 2 == 0 else (b, a, lb, la)
+                tiles.append(Tile(len(tiles) + 1, tuple(map(float, rect)), aspects[k % 2], rect))
+                offset[step % 2] += s
+        slab = c * r * across
+        start, side, along, across = side, start + slab, across, along - slab
+    if across != zero:
+        raise LadderError("ladder does not close up exactly")
     d = Dissection(spec.field, tiles, big_w=one, big_h=one)
     validate_geometric(d).require(LadderError, "ladder construction failed validation")
     return d

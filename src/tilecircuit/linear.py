@@ -30,7 +30,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import RatFunc, _on_grid, zero_like
+from .fields import RatFunc, zero_like
 
 
 class LinearSystem:
@@ -304,13 +304,10 @@ def laplacian_potentials(edges, plus, minus, voltage) -> tuple[dict, object]:
 def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     """Exact regression check: does the outcome satisfy every original row?
 
-    Unique assignments are substituted directly; parametric outcomes are
-    checked as identities in the free variables; an Inconsistent outcome
-    verifies by re-deriving inconsistency.  Only nonzero coefficients are
-    visited.  A unique assignment V is put on a grid, V' = V * L, and each
-    row on its own, times its m, and sum c'V' = b'L is tested.  Over Q a
-    grid holds ints, over Q(sqrt d) elements of Z[sqrt d] whose products
-    and sums run on ints; otherwise its factor is 1 and it holds the values.
+    Unique assignments are substituted directly, in field arithmetic;
+    parametric outcomes are checked as identities in the free variables;
+    an Inconsistent outcome verifies by re-deriving inconsistency.  Only
+    nonzero coefficients are visited.
 
     No pipeline of the package calls it; the tests use it as an oracle,
     among other things to show that sizes obeying the network's local laws
@@ -323,14 +320,11 @@ def substitute_and_verify(system: LinearSystem, outcome: SolveOutcome) -> bool:
     rows = zip(system.nonzeros, system.rhs)
     if isinstance(outcome, Unique):
         assignment = outcome.assignment
-        (values,), scale = _on_grid(assignment.values())
-        assigned = dict(zip(assignment, values))
         for row, rhs in rows:
-            (coeffs,), _ = _on_grid((*row.values(), rhs))
-            total = 0
-            for j, c in zip(row, coeffs):
-                total += c * assigned[variables[j]]
-            if total != coeffs[-1] * scale:
+            total = zero_like(rhs)
+            for j, c in row.items():
+                total = total + c * assignment[variables[j]]
+            if total != rhs:
                 return False
         return True
 

@@ -1,12 +1,13 @@
 """Three checks of the certificate as they stood before, kept as test oracles.
 
-Over Q, ``linear.substitute_and_verify`` now tests a ``Unique`` outcome
-on an integer grid, and ``correspondence._obeys_circuit_laws`` adds
-currents and positions on integer grids, reading the nodes and terminals
-off the cut structure.  These are the field-arithmetic versions they
-replaced, copied verbatim: the ``Unique`` branch of the substitution, and
-the local-law check on the ``Netlist``.  ``test_grid_exactness.py``
-requires the same verdict, or the same exception, from both.
+``correspondence._obeys_circuit_laws`` adds currents and positions on
+integer grids, reading the nodes and terminals off the cut structure.
+Here is the field-arithmetic version it replaced, copied verbatim: the
+local-law check on the ``Netlist``.  ``substitute_unique`` is the
+``Unique`` branch of ``linear.substitute_and_verify``, which ran on an
+integer grid for a while and is the same field loop again.
+``test_grid_exactness.py`` requires the same verdict, or the same
+exception, from each pair.
 
 ``certify_equivalence`` no longer substitutes the sizes into the junction
 system once they obey the network's local laws, and builds no network

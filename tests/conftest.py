@@ -25,6 +25,7 @@ from tilecircuit import (
     load_dissection,
     load_ladder,
 )
+from tilecircuit.dissection import SKETCH_REL_TOL, _classes
 
 # Unique exact solution of the nine-square shelf (vertical side normalized
 # to 1): big horizontal side 33/32 and square sides k/32 for
@@ -253,6 +254,26 @@ def counted_eliminations():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linear, "_eliminate_laplacian", counted)
         yield calls
+
+
+def sketch_merges_edges(rects) -> bool:
+    """Does the float sketch of exact rects merge two distinct edge coordinates?
+
+    The sketch is each rect's coordinates as floats, and ``extract_cuts``
+    classes its edges at the sketch tolerance.  On either axis, fewer
+    classes than distinct exact edge coordinates means two cuts are read as
+    one, which collapses a thin tile or silently joins two cuts (ROADMAP
+    item 14)."""
+    sketches = [tuple(map(float, r)) for r in rects]
+    eps = SKETCH_REL_TOL * max(
+        max(s[axis] + s[axis + 2] for s in sketches) - min(s[axis] for s in sketches)
+        for axis in (0, 1))
+    for axis in (0, 1):
+        edges = [r[axis] for r in rects] + [r[axis] + r[axis + 2] for r in rects]
+        sketched = [s[axis] for s in sketches] + [s[axis] + s[axis + 2] for s in sketches]
+        if len(_classes(sketched, eps)[0]) < len(set(edges)):
+            return True
+    return False
 
 
 def positive_ratfunc(value: RatFunc) -> bool:

@@ -385,6 +385,16 @@ V a b 2
     assert parse_netlist(format_netlist(simple)).resistors == simple.resistors
 
 
+def test_a_node_declaration_names_an_endpoint():
+    """An isolated node leaves the graph disconnected, so ``format_netlist``
+    has no node that only an ``N`` line names."""
+    with pytest.raises(CircuitError, match="^netlist graph is not connected$"):
+        parse_netlist("N z\nR 1 a b 1\nV a b 1\n")
+    net = parse_netlist("N a\nR 1 a b 1\nV a b 1\n")
+    assert net.nodes == ("a", "b")
+    assert format_netlist(net) == "R 1 a b 1\nV a b 1\n"
+
+
 def test_netlist_symbolic_parse():
     text = "R 1 a b t\nR 2 a b 3/2\nV a b 1\n"
     net = parse_netlist(text, symbolic=True)

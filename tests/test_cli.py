@@ -153,6 +153,33 @@ def test_lfs_build_refuses_a_ladder_of_a_million_tiles(tmp_path, capsys):
     assert (code, out) == (0, "continued fraction = 1\n")
 
 
+def deep_ladder(tmp_path, depth):
+    """R = 1 and c = (1/2, 3/2 repeated depth times, 2): every tail is 2."""
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps({"field": {"kind": "rational"}, "R": "1",
+                                  "c": ["1/2"] + ["3/2"] * depth + ["2"]}))
+    return ladder
+
+
+def test_lfs_build_writes_a_deep_ladder(tmp_path, capsys):
+    built = tmp_path / "built.json"
+    code, out, err = invoke(capsys, "lfs", "build", str(deep_ladder(tmp_path, 990)),
+                            "--out", str(built))
+    assert (code, out, err) == (0, f"wrote {built} (2974 tiles)\n", "")
+    code, out, err = invoke(capsys, "validate", str(built))
+    assert (code, err) == (0, "")
+
+
+def test_lfs_build_refuses_a_ladder_too_deep_for_its_float_sketch(tmp_path, capsys):
+    """Its slabs thin out geometrically, below what a float can hold
+    (ROADMAP item 14)."""
+    built = tmp_path / "built.json"
+    code, out, err = invoke(capsys, "lfs", "build", str(deep_ladder(tmp_path, 1400)),
+                            "--out", str(built))
+    assert (code, out, err) == (2, "", "error: tile 3223 has a degenerate sketch\n")
+    assert not built.exists()
+
+
 def test_lfs_build_then_solve(tmp_path, capsys):
     built = tmp_path / "built.json"
     code, _, _ = invoke(capsys, "lfs", "build", str(DATA / "ladder_sqrt3.json"),

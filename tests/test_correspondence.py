@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     corpus,
@@ -13,6 +15,7 @@ from conftest import (
     make_shelf,
     make_two_columns,
     make_two_rows,
+    sketch_merges_edges,
     tilings,
 )
 from tilecircuit import (
@@ -419,8 +422,7 @@ def assert_sketch_round_trip(tiling):
     assert theorem1_certificate(sketch, ratio) == theorem1_certificate(tiling, ratio)
 
 
-# each ladder's theorem-1 polynomial; a coefficient p/q with p, q > 1 fills
-# its slab with a q-by-p grid, whose four-tile points the sketch sizes
+# each ladder's theorem-1 polynomial
 LADDERS = {
     "R = 7/5, c = [5/7]": (
         FieldSpec.rational(), Fraction(7, 5), (Fraction(5, 7),), "5*x^2 - 7*x"),
@@ -444,12 +446,108 @@ def test_a_ladder_sizes_from_its_sketch(name):
     assert_sketch_round_trip(tiling)
 
 
+def unit_grid(columns, rows):
+    """The unit square cut into columns by rows of equal tiles, of aspect
+    rows/columns: a four-tile point at every inner corner."""
+    w, h = Fraction(1, columns), Fraction(1, rows)
+    tiles = []
+    for col in range(columns):
+        for row in range(rows):
+            rect = (w * col, h * row, w, h)
+            tiles.append(Tile(len(tiles) + 1, tuple(map(float, rect)), w / h, rect))
+    return Dissection(FieldSpec.rational(), tiles, big_w=Fraction(1), big_h=Fraction(1))
+
+
+def test_a_grid_sizes_from_its_sketch():
+    """The 5-by-7 grid of ratio-7/5 tiles: the slab of c = [5/7] cut into
+    35 cells instead of Euclid's 5 squares."""
+    tiling = unit_grid(5, 7)
+    assert theorem1_certificate(tiling, infer_ratio(tiling)).format("x") == "5*x^2 - 7*x"
+    assert_sketch_round_trip(tiling)
+
+
+def partial_quotient_sum(c: Fraction) -> int:
+    """The terms of c's regular continued fraction, added up: the squares
+    of Euclid's tiling of a p-by-q rectangle, c = p/q."""
+    count = 0
+    while c:
+        whole = math.floor(c)
+        count += whole
+        c -= whole
+        if c:
+            c = 1 / c
+    return count
+
+
+def test_a_slab_is_tiled_by_euclid():
+    spec = LadderSpec(FieldSpec.rational(), Fraction(99, 101), (Fraction(101, 99),))
+    tiling = ladder_dissection(spec)
+    assert len(tiling.tiles) == partial_quotient_sum(Fraction(101, 99)) == 52
+    assert validate_geometric(tiling).ok
+    assert all(t.aspect == Fraction(99, 101) for t in tiling.tiles)
+
+
+# p/q with 1 < p, q <= 40
+COEFFICIENTS = sorted({Fraction(p, q) for p in range(2, 41) for q in range(2, 41)
+                       if math.gcd(p, q) == 1})
+
+
+def coefficients(above=0):
+    return st.sampled_from(COEFFICIENTS).filter(lambda c: c > above)
+
+
+@st.composite
+def two_slab_ladders(draw, field_name):
+    """c = (c1, c2), c1 R + 1/(c2 R) = 1, each c_k = p/q with p, q > 1.
+
+    Over Q, R and c2 are drawn and c1 = (c2 R - 1) / (c2 R^2).  Over
+    Q(sqrt d), c1 and c2 are drawn and R is either root of
+    c1 c2 R^2 - c2 R + 1, irrational when the discriminant c2^2 - 4 c1 c2
+    is not a square."""
+    top = COEFFICIENTS[-1]
+    if field_name == "Q":
+        field, r = FieldSpec.rational(), draw(coefficients(above=1 / top))
+        c2 = draw(coefficients(above=1 / r))
+        c1 = (c2 * r - 1) / (c2 * r * r)
+        assume(c1.numerator > 1 and c1.denominator > 1)
+    else:
+        c1 = draw(coefficients().filter(lambda c: 4 * c < top))
+        c2 = draw(coefficients(above=4 * c1))
+        disc = c2 * c2 - 4 * c1 * c2
+        s, d = _squarefree_split(disc.numerator * disc.denominator)
+        assume(d > 1)
+        field, sign = FieldSpec.quadratic(d), draw(st.sampled_from((1, -1)))
+        r = QuadExt(c2, sign * Fraction(s, disc.denominator), d) / (2 * c1 * c2)
+    assume(partial_quotient_sum(c1) + partial_quotient_sum(c2) <= 300)
+    return LadderSpec(field, r, (c1, c2))
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt d)"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_ladder_tiles_each_slab_by_euclid(field, data):
+    """The tiles are Euclid's squares of each slab, and the tiling sizes
+    from its sketch, certifies and gives a polynomial with R as a root.  A
+    sketch that merges two cuts (ROADMAP item 14) is set aside."""
+    spec = data.draw(two_slab_ladders(field))
+    assert cf_eval(spec) == 1
+    tiling = ladder_dissection(spec)
+    assert len(tiling.tiles) == sum(map(partial_quotient_sum, spec.coefficients))
+    assert validate_geometric(tiling).ok
+    r = spec.ratio
+    assert all(t.aspect == r or t.aspect == 1 / r for t in tiling.tiles)
+    assume(not sketch_merges_edges([t.rect for t in tiling.tiles]))
+    assert certify_equivalence(tiling).ok
+    assert_sketch_round_trip(tiling)
+    assert theorem1_certificate(tiling, r).eval(r) == 0
+
+
 def test_ladder_soundness_random():
     # two-rung ladders c = (c1, c2) of any positive rationals: the value-1
     # identity c1 R + 1/(c2 R) = 1 pins R as a root of
     # c1 c2 R^2 - c2 R + 1, generally in a quadratic field; both roots are
-    # positive once c2 > 4 c1.  A coefficient p/q fills its slab with a
-    # q-by-p grid, so p, q > 1 gives four-tile points.
+    # positive once c2 > 4 c1.  A coefficient p/q tiles its slab by
+    # Euclid's squares, one per unit of each partial quotient.
     rng = random.Random(23)
     built = 0
     while built < 15:
@@ -468,7 +566,7 @@ def test_ladder_soundness_random():
         spec = LadderSpec(field, r, (c1, c2))
         assert cf_eval(spec) == 1
         tiling = ladder_dissection(spec)
-        assert len(tiling.tiles) == sum(c.numerator * c.denominator for c in (c1, c2))
+        assert len(tiling.tiles) == partial_quotient_sum(c1) + partial_quotient_sum(c2)
         assert validate_geometric(tiling).ok
         assert solve_sizes(tiling).ratio == 1
         inv = 1 / r

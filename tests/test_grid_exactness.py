@@ -1,15 +1,17 @@
 """The certificate's checks on integer grids against their field arithmetic.
 
-Over Q, ``substitute_and_verify`` tests a ``Unique`` assignment with each
-row and the assignment scaled to integers, and ``_obeys_circuit_laws``
-adds currents and positions as integers.  ``certificate_reference.py``
-keeps both as they ran in the field; the verdict, or the exception type
-and message, must be the same.  Systems are random, over Q (ints and
-``Fraction``s mixed, with or without a denominator past the grid's cap),
-Q(sqrt 2), ``RatFunc`` and mixtures of Q and Q(sqrt 2), with true and
-perturbed assignments and missing variables.  Sizings are those of random
-brick walls over Q and Q(sqrt 2), as solved or with a tile moved, a
-height, a width or ``big_h`` changed.
+Over Q, ``_obeys_circuit_laws`` adds currents and positions as integers;
+``certificate_reference.py`` keeps it as it ran in the field.
+``substitute_and_verify`` substitutes a ``Unique`` assignment in field
+arithmetic, the loop ``certificate_reference.substitute_unique`` keeps.
+The verdict, or the exception type and message, must be the same.
+Systems are random, over Q (ints and ``Fraction``s mixed, with or
+without a denominator past the grid's cap), Q(sqrt 2), ``RatFunc`` and
+mixtures of Q and Q(sqrt 2), with true and perturbed assignments and
+missing variables.  Sizings are those of random brick walls over Q and
+Q(sqrt 2), as solved or with a tile moved, a height, a width or
+``big_h`` changed; a wall whose float sketch merges two cuts (ROADMAP
+item 14) is set aside, and no other.
 """
 
 from fractions import Fraction
@@ -18,10 +20,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import certificate_reference as ref
-from conftest import RATIONAL, quadratic
+from conftest import RATIONAL, quadratic, sketch_merges_edges
 from tilecircuit import (
     Dissection,
-    DissectionError,
     FieldSpec,
     QuadExt,
     RatFunc,
@@ -159,12 +160,10 @@ def corrupted_sizings(draw, field_name):
     changed; over Q the whole values are sometimes plain ints."""
     field, values = FIELDS[field_name]
     rects = draw(walls(values))
+    assume(not sketch_merges_edges(rects))
     d = Dissection(field, [Tile(tid, tuple(float(c) for c in r), r[2] / r[3])
                            for tid, r in enumerate(rects, 1)])
-    try:
-        sizing = solve_sizes(d)
-    except DissectionError:
-        assume(False)
+    sizing = solve_sizes(d)
     sized = sizing.sized
     net = circuit_of_dissection(sized)
     tiles = list(sized.tiles)

@@ -12,9 +12,9 @@ over Q a tiling whose y values have pairwise coprime denominators.
 The complexity guard counts, without timing anything, the ``Fraction``
 comparisons of ``validate_geometric``, the ``Fraction`` zero tests of
 ``junction_system``, and the ``Fraction`` sums and products of the
-certificate's three checks (``validate_geometric``, the local laws and
-the substitution), which over Q run on integer grids, on generated walls
-of 1,040 and 2,000 tiles.
+certificate's two checks (``validate_geometric`` and the local laws),
+which over Q run on integer grids, on generated walls of 1,040 and 2,000
+tiles.
 """
 
 import importlib.util
@@ -44,7 +44,6 @@ from tilecircuit import (
 from tilecircuit.correspondence import _obeys_circuit_laws
 from tilecircuit.dissection import SKETCH_REL_TOL, _classes
 from tilecircuit.fields import _on_grid
-from tilecircuit.linear import Unique, substitute_and_verify
 
 Q = FieldSpec.rational()
 QSQRT2 = FieldSpec.quadratic(2)
@@ -363,7 +362,7 @@ def test_junction_system_tests_only_nonzeros_for_zero(big_walls, monkeypatch):
         assert calls["__bool__"] <= sum(len(row) for row in system.nonzeros)
 
 
-# Fraction products per tile that the three checks of a certificate may
+# Fraction products per tile that the two checks of a certificate may
 # make between them: the aspect check and Ohm's law
 PRODUCTS_PER_TILE = 2
 
@@ -371,14 +370,11 @@ PRODUCTS_PER_TILE = 2
 def test_certificate_checks_run_on_the_integer_grid(big_walls, monkeypatch):
     for d in big_walls:
         cs = extract_cuts(d)
-        system = junction_system(cs, d.tiles, d.field, d.big_h)
-        sides = Unique({**{f"v{t.tid}": t.rect[3] for t in d.tiles}, "x": d.big_w})
         with monkeypatch.context() as patch:
             calls = _counting(patch, ("__add__", "__radd__", "__sub__", "__rsub__",
                                       "__mul__", "__rmul__"))
             assert validate_geometric(d).ok
             assert _obeys_circuit_laws(cs, d)
-            assert substitute_and_verify(system, sides)
         sums = ("__add__", "__radd__", "__sub__", "__rsub__")
         assert sum(calls[name] for name in sums) == 0, calls
         assert calls["__mul__"] + calls["__rmul__"] <= PRODUCTS_PER_TILE * len(d.tiles), calls
