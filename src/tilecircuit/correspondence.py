@@ -8,7 +8,8 @@ conditions and the Kirchhoff equations are the same system: tile vertical
 sides are edge currents, the big vertical side is the battery current, and
 a vertical cut at x has potential U - x.  Every function here reads a
 dissection's sizes through ``solve_sizes``, which sizes a sketch and
-checks a sized dissection against its sketch's cuts.
+validates a sized dissection; a sized dissection is its rects, and its
+cuts are read off them, not off its sketch.
 ``certify_equivalence`` checks the dictionary exactly on a concrete
 dissection: the sizes must obey Kirchhoff's laws read off the cut
 structure, with the left and right boundaries as the battery's
@@ -94,7 +95,7 @@ def circuit_of_dissection(d: Dissection) -> Netlist:
     terminal to right terminal; the battery spans the outer sides with
     voltage equal to the big horizontal side, positive pole on the left.
     ``d`` is read through ``solve_sizes``: a sketch is sized, a sized ``d``
-    checked on its sketch's cuts.
+    validated, and its terminals read off its rects.
     """
     sizing = solve_sizes(d)
     return _network(sizing.sized.tiles, sizing.cuts, lambda t: t.aspect, sizing.sized.big_w)
@@ -172,8 +173,8 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     then they are the flow: heights are currents, ``big_h`` the battery
     current, ``big_w / big_h`` the resistance.  Only a mismatch builds the
     network and solves its flow, to name what differs.  A sized ``d`` keeps
-    its sizes once ``solve_sizes`` has checked them on its sketch's cuts,
-    so then nothing is eliminated.
+    its sizes once ``solve_sizes`` has validated them, and its cuts are
+    read off its rects, so then nothing is eliminated.
 
     The junction system (``junction_system``, with v<k> the heights and
     x = U) holds whenever the laws do, so it is not substituted:
@@ -270,7 +271,7 @@ def theorem1_certificate(d: Dissection, ratio=None) -> IntPoly:
     resulting network resistance is p(t)/q(t), then q(x^2)*x - p(x^2) is a
     nonzero integer polynomial vanishing at R, which is verified exactly
     before returning.  ``d`` is read through ``solve_sizes``: a sketch is
-    sized, a sized ``d`` checked on its sketch's cuts.
+    sized, a sized ``d`` validated, and its network read off its rects.
     """
     sizing = solve_sizes(d)
     if sizing.ratio != one_like(sizing.ratio):

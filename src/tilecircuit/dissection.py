@@ -1,21 +1,23 @@
 """Axis-aligned rectangle dissections: modeling, sizing, checking, drawing.
 
-A dissection is described twice over.  Decimal *sketch* rectangles define
-the combinatorics only: which tiles meet along which cuts, read off the
-drawing up to a relative tolerance of 1e-6.  Exact sizes are never taken
-from the sketch.  They must satisfy the junction conditions -- along every
-vertical cut the vertical sides meeting from the left balance those from
-the right, along every horizontal cut the horizontal sides from above
-balance those from below -- with the big rectangle's vertical side
-normalized and each tile's horizontal side expressed through its aspect
-ratio.  These are Kirchhoff's laws for the network whose nodes are the
-vertical cuts and whose resistors are the tiles, so sizing is one grounded
-Laplacian solve: tile heights are the currents and cut x-coordinates the
-potentials.  Each axis's cuts are then placed by one ordered pass from the
-left or bottom side.  The solved dissection carries exact coordinates and
-can be validated, tested for the all-squares/rational-ratio property, or
-rendered.  A sized dissection keeps its own coordinates once they are
-checked on its sketch's cuts.
+A dissection is given either as a sketch or sized.  The decimal *sketch*
+rectangles of an unsized dissection define its combinatorics only: which
+tiles meet along which cuts, read off the drawing up to a relative
+tolerance of 1e-6.  Exact sizes are never taken from the sketch.  They must
+satisfy the junction conditions -- along every vertical cut the vertical
+sides meeting from the left balance those from the right, along every
+horizontal cut the horizontal sides from above balance those from below --
+with the big rectangle's vertical side normalized and each tile's
+horizontal side expressed through its aspect ratio.  These are Kirchhoff's
+laws for the network whose nodes are the vertical cuts and whose resistors
+are the tiles, so sizing is one grounded Laplacian solve: tile heights are
+the currents and cut x-coordinates the potentials.  Each axis's cuts are
+then placed by one ordered pass from the left or bottom side.  The solved
+dissection carries exact coordinates and can be validated, tested for the
+all-squares/rational-ratio property, or rendered.  A sized dissection is
+its rects: once they tile the big rectangle exactly, its cuts are read off
+their exact coordinates, and its sketch is checked only for format (finite,
+positive).
 
 Dissection file format (JSON)::
 
@@ -109,9 +111,6 @@ class Dissection:
 @dataclass(frozen=True)
 class VNode:
     nid: int
-    x: float
-    y_lo: float
-    y_hi: float
     left_tiles: tuple[int, ...]   # tiles whose right edge lies on this node
     right_tiles: tuple[int, ...]  # tiles whose left edge lies on this node
 
@@ -119,9 +118,6 @@ class VNode:
 @dataclass(frozen=True)
 class HCut:
     cid: int
-    y: float
-    x_lo: float
-    x_hi: float
     above_tiles: tuple[int, ...]  # tiles whose bottom edge lies on this cut
     below_tiles: tuple[int, ...]  # tiles whose top edge lies on this cut
 
@@ -205,30 +201,36 @@ def _segments(spans, count: int, extent: int, what: str):
 
 
 def extract_cuts(d: Dissection) -> CutStructure:
-    """Read the cut combinatorics off the sketch.
+    """The cut combinatorics of a dissection: of its rects when it is
+    sized, of its sketch otherwise.
 
+    Each tile edge is first labelled by its class on its axis.  A sized
+    dissection's edges are labelled by their exact ranks on the axis
+    (``_ranked_edges``), so its sketch is never read.  A sketch's edges
+    are labelled by ``_classes`` at the sketch tolerance, 1e-6 of its
+    larger extent.
     Vertical nodes are the maximal connected vertical segments of the union
     of tile vertical edges (plus the big rectangle's sides); horizontal cuts
-    are the same thing sideways.  Ordering is by coordinate, so the result
-    is deterministic.  Each x-strip must be covered exactly once; one sweep
+    are the same thing sideways.  Ordering is by class, so the result is
+    deterministic.  Each x-strip must be covered exactly once; one sweep
     over the strips checks that in time linear in the tiles and classes,
     and the first faulty strip names its first gap or overlap.
     """
     tiles = d.tiles
     if not tiles:
         raise DissectionError("dissection has no tiles")
-    x0 = min(t.sketch[0] for t in tiles)
-    y0 = min(t.sketch[1] for t in tiles)
-    x1 = max(t.sketch[0] + t.sketch[2] for t in tiles)
-    y1 = max(t.sketch[1] + t.sketch[3] for t in tiles)
-    eps = SKETCH_REL_TOL * max(x1 - x0, y1 - y0)
+    if d.is_sized:
+        rects = [t.rect for t in tiles]
+        x_class, x_at = _ranked_edges([r[0] for r in rects], [r[2] for r in rects])
+        y_class, y_at = _ranked_edges([r[1] for r in rects], [r[3] for r in rects])
+    else:
+        xs = [t.sketch[0] for t in tiles] + [t.sketch[0] + t.sketch[2] for t in tiles]
+        ys = [t.sketch[1] for t in tiles] + [t.sketch[1] + t.sketch[3] for t in tiles]
+        eps = SKETCH_REL_TOL * max(max(xs) - min(xs), max(ys) - min(ys))
+        (xs, x_class), (ys, y_class) = _classes(xs, eps), _classes(ys, eps)
+        x_at, y_at = xs.__getitem__, ys.__getitem__
 
-    n = len(tiles)
-    xs, x_class = _classes(
-        [t.sketch[0] for t in tiles] + [t.sketch[0] + t.sketch[2] for t in tiles], eps)
-    ys, y_class = _classes(
-        [t.sketch[1] for t in tiles] + [t.sketch[1] + t.sketch[3] for t in tiles], eps)
-
+    n, nx, ny = len(tiles), max(x_class) + 1, max(y_class) + 1
     snapped = {}
     for k, t in enumerate(tiles):
         ix0, ix1, iy0, iy1 = x_class[k], x_class[n + k], y_class[k], y_class[n + k]
@@ -239,13 +241,13 @@ def extract_cuts(d: Dissection) -> CutStructure:
     # Spans rise, so a strip's spans chain from class 0 to the top exactly
     # when each class starts as many spans as end there, one more at 0 and
     # one fewer at the top.  The sweep carries that balance across strips.
-    balance = [-1] + [0] * (len(ys) - 2) + [1]  # spans starting - ending - wanted
+    balance = [-1] + [0] * (ny - 2) + [1]  # spans starting - ending - wanted
     faults = 2
-    changes = [[] for _ in xs]
+    changes = [[] for _ in range(nx)]
     for ix0, ix1, iy0, iy1 in snapped.values():
         changes[ix0] += ((iy0, 1), (iy1, -1))
         changes[ix1] += ((iy0, -1), (iy1, 1))
-    for sx in range(len(xs) - 1):
+    for sx in range(nx - 1):
         for c, step in changes[sx]:
             faults -= balance[c] != 0
             balance[c] += step
@@ -261,19 +263,19 @@ def extract_cuts(d: Dissection) -> CutStructure:
         for lo, hi, tid in spans:
             if lo > cursor:
                 raise DissectionError(
-                    f"sketch gap near x={xs[sx]:.6g}, y={ys[cursor]:.6g}"
+                    f"sketch gap near x={x_at(sx):.6g}, y={y_at(cursor):.6g}"
                 )
             if lo < cursor:
                 raise DissectionError(f"sketch overlap at tile {tid}")
             cursor = hi
-        raise DissectionError(f"sketch gap near x={xs[sx]:.6g} (top)")
+        raise DissectionError(f"sketch gap near x={x_at(sx):.6g} (top)")
 
     v_nodes, node_ids, tile_ends = _segments(
-        snapped, len(xs), len(ys) - 1, "vertical node at x class"
+        snapped, nx, ny - 1, "vertical node at x class"
     )
     h_cuts, cut_ids, tile_spans = _segments(
         {tid: (iy0, iy1, ix0, ix1) for tid, (ix0, ix1, iy0, iy1) in snapped.items()},
-        len(ys), len(xs) - 1, "horizontal cut at y class",
+        ny, nx - 1, "horizontal cut at y class",
     )
 
     def _single_segment(ids, what: str) -> int:
@@ -282,18 +284,14 @@ def extract_cuts(d: Dissection) -> CutStructure:
         return ids[0][2]
 
     left_boundary = _single_segment(node_ids[0], "left")
-    right_boundary = _single_segment(node_ids[len(xs) - 1], "right")
+    right_boundary = _single_segment(node_ids[nx - 1], "right")
     bottom_cut = _single_segment(cut_ids[0], "bottom")
-    top_cut = _single_segment(cut_ids[len(ys) - 1], "top")
+    top_cut = _single_segment(cut_ids[ny - 1], "top")
 
-    nodes = tuple(
-        VNode(nid, xs[c], ys[lo], ys[hi], tuple(sorted(ends)), tuple(sorted(starts)))
-        for nid, (c, lo, hi, ends, starts) in enumerate(v_nodes)
-    )
-    cuts = tuple(
-        HCut(cid, ys[c], xs[lo], xs[hi], tuple(sorted(starts)), tuple(sorted(ends)))
-        for cid, (c, lo, hi, ends, starts) in enumerate(h_cuts)
-    )
+    nodes = tuple(VNode(nid, tuple(sorted(ends)), tuple(sorted(starts)))
+                  for nid, (_, _, _, ends, starts) in enumerate(v_nodes))
+    cuts = tuple(HCut(cid, tuple(sorted(starts)), tuple(sorted(ends)))
+                 for cid, (_, _, _, ends, starts) in enumerate(h_cuts))
     return CutStructure(
         nodes, cuts, left_boundary, right_boundary, bottom_cut, top_cut,
         tile_ends, tile_spans,
@@ -364,11 +362,10 @@ class SizingResult:
 def solve_sizes(d: Dissection) -> SizingResult:
     """The exact sizing of a dissection: a sketch's solved, a sized one's checked.
 
-    A sized ``d`` keeps its sizes, with no elimination.
-    Its rects must pass geometric validation, and ``_place``, laying its
-    widths and heights on its sketch's cuts, must give back every rect and
-    far edge; otherwise the error names the first tile that differs.  Its
-    heights then obey Kirchhoff's laws on the cuts, so they are the flow.
+    A sized ``d`` keeps its sizes, with no elimination.  Its rects must
+    pass geometric validation; its cuts are then read off the rects
+    (``extract_cuts``), and its sketch is not read.  Its heights obey
+    Kirchhoff's laws on those cuts, so they are the flow.
 
     A sketch is sized with the big vertical side taken from ``d.big_h``
     when present (1 otherwise).  Tile k is a resistor of conductance
@@ -385,15 +382,8 @@ def solve_sizes(d: Dissection) -> SizingResult:
     """
     if d.is_sized:
         validate_geometric(d).require()
-        cs = extract_cuts(d)
-        edges = _edges(cs, {t.tid: t.rect[2] for t in d.tiles},
-                       {t.tid: t.rect[3] for t in d.tiles}, d.field.zero)
-        for t in d.tiles:
-            x, y, w, h = t.rect
-            if edges[t.tid] != (x, x + w, y, y + h):
-                raise DissectionError(f"tile {t.tid}'s rect is not the one its sketch sizes to")
         # times one, so that int big sides give a field ratio, not a float
-        return SizingResult(d, d.field.one * d.big_w / d.big_h, cs)
+        return SizingResult(d, d.field.one * d.big_w / d.big_h, extract_cuts(d))
     cs = extract_cuts(d)
     field = d.field
     normalization = d.big_h if d.big_h is not None else field.one
@@ -421,9 +411,11 @@ def solve_sizes(d: Dissection) -> SizingResult:
             f"width {format_scalar(x_val)}"
         )
 
-    edges = _edges(cs, h, v, zero)
-    tiles = tuple(Tile(t.tid, t.sketch, t.aspect,
-                       (edges[t.tid][0], edges[t.tid][2], h[t.tid], v[t.tid]))
+    node_x = _place([n.left_tiles for n in cs.v_nodes], cs.tile_ends, h, zero)
+    cut_y = _place([c.below_tiles for c in cs.h_cuts], cs.tile_spans, v, zero)
+    tiles = tuple(Tile(t.tid, t.sketch, t.aspect, (node_x[cs.tile_ends[t.tid][0]],
+                                                   cut_y[cs.tile_spans[t.tid][0]],
+                                                   h[t.tid], v[t.tid]))
                   for t in d.tiles)
     sized = Dissection(field, tiles, big_w=x_val, big_h=normalization)
     validate_geometric(sized).require(
@@ -431,18 +423,6 @@ def solve_sizes(d: Dissection) -> SizingResult:
     )
     ratio = x_val / normalization
     return SizingResult(sized, ratio, cs)
-
-
-def _edges(cs: CutStructure, widths, heights, zero) -> dict:
-    """Each tile's (left, right, bottom, top) edge, as ``_place`` lays the
-    widths and heights on the cuts of ``cs``."""
-    node_x = _place([n.left_tiles for n in cs.v_nodes], cs.tile_ends, widths, zero)
-    cut_y = _place([c.below_tiles for c in cs.h_cuts], cs.tile_spans, heights, zero)
-    edges = {}
-    for tid, (left, right) in cs.tile_ends.items():
-        bottom, top = cs.tile_spans[tid]
-        edges[tid] = (node_x[left], node_x[right], cut_y[bottom], cut_y[top])
-    return edges
 
 
 def _place(ending, ends, size, zero) -> list:
@@ -518,6 +498,18 @@ def _axis(big, starts, sizes):
     ((big,), starts, sizes), _ = _on_grid((big,), starts, sizes)
     return big, _ranks([0, big] + [
         v for s, size in zip(starts, sizes) for v in (s, s + size)]), sizes
+
+
+def _ranked_edges(starts, sizes):
+    """One axis of a sized ``extract_cuts``: each tile's start, then each
+    tile's end, labelled by its exact rank among them on the axis's grid,
+    as ``validate_geometric`` ranks them; and a rank's coordinate as a
+    float, which only an error message reads."""
+    def edges(starts, sizes):
+        return list(starts) + [s + size for s, size in zip(starts, sizes)]
+
+    ranks = _ranks(edges(*_on_grid(starts, sizes)[0]))
+    return ranks, lambda rank: float(edges(starts, sizes)[ranks.index(rank)])
 
 
 def _ranks(values) -> list[int]:

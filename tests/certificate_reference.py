@@ -1,13 +1,10 @@
-"""Three checks of the certificate as they stood before, kept as test oracles.
+"""Two checks of the certificate as they stood before, kept as test oracles.
 
 ``correspondence._obeys_circuit_laws`` adds currents and positions on
 integer grids, reading the nodes and terminals off the cut structure.
 Here is the field-arithmetic version it replaced, copied verbatim: the
-local-law check on the ``Netlist``.  ``substitute_unique`` is the
-``Unique`` branch of ``linear.substitute_and_verify``, which ran on an
-integer grid for a while and is the same field loop again.
-``test_grid_exactness.py`` requires the same verdict, or the same
-exception, from each pair.
+local-law check on the ``Netlist``.  ``test_grid_exactness.py`` requires
+the same verdict, or the same exception, from the two.
 
 ``certify_equivalence`` no longer substitutes the sizes into the junction
 system once they obey the network's local laws, and builds no network
@@ -32,20 +29,7 @@ from tilecircuit.correspondence import (
 )
 from tilecircuit.dissection import Dissection, junction_system
 from tilecircuit.fields import zero_like
-from tilecircuit.linear import LinearSystem, Unique, substitute_and_verify
-
-
-def substitute_unique(system: LinearSystem, assignment: dict) -> bool:
-    """Does the assignment satisfy every original row?"""
-    variables = system.variables
-    rows = zip(system.nonzeros, system.rhs)
-    for row, rhs in rows:
-        total = zero_like(rhs)
-        for j, c in row.items():
-            total = total + c * assignment[variables[j]]
-        if total != rhs:
-            return False
-    return True
+from tilecircuit.linear import Unique, substitute_and_verify
 
 
 def obeys_circuit_laws(net: Netlist, sized: Dissection) -> bool:
@@ -84,8 +68,7 @@ def certify_equivalence(d: Dissection) -> EquivalenceReport:
     network's local laws.  The grounded Laplacian is nonsingular, so then
     they are the flow: heights are currents, ``big_h`` the battery current,
     U / ``big_h`` the resistance.  The flow is solved only to name a mismatch.
-    A sized ``d`` must pass geometric validation, and each of its rects must
-    be the one its sketch sizes to.
+    A sized ``d`` must pass geometric validation.
     """
     sizing = correspondence.solve_sizes(d)
     sized = sizing.sized

@@ -297,14 +297,38 @@ STACKED_SKETCH = _dissection(big={"w": "2", "h": "1"}, tiles=[
     {"id": 1, "sketch": [0, 0, 2, 0.5], "aspect": "1", "rect": ["0", "0", "1", "1"]},
     {"id": 2, "sketch": [0, 0.5, 2, 0.5], "aspect": "1", "rect": ["1", "0", "1", "1"]}])
 
+# tile 1 lies above tile 2 in the rects and below it in the sketch
+SWAPPED_ROWS = _dissection(big={"w": "1", "h": "1"}, tiles=[
+    {"id": 1, "sketch": [0, 0, 2, 1], "aspect": "2", "rect": ["0", "1/2", "1", "1/2"]},
+    {"id": 2, "sketch": [0, 1, 2, 1], "aspect": "2", "rect": ["0", "0", "1", "1/2"]}])
+
+
 
 def test_to_circuit_refuses_a_sketch_that_contradicts_its_rects(tmp_path, capsys):
+    """to-circuit reads the stacked sketch's netlist off its rects, which
+    lie side by side; it refuses the file once those rects overlap."""
     path = tmp_path / "input.json"
     path.write_text(STACKED_SKETCH)
     assert invoke(capsys, "validate", str(path)) == (0, "valid tiling\n", "")
-    message = "error: tile 2's rect is not the one its sketch sizes to\n"
+    netlist = "R 1 L n1 1\nR 2 n1 R 1\nV L R 2\n"
+    assert invoke(capsys, "to-circuit", str(path)) == (0, netlist, "")
+    code, out, err = invoke(capsys, "--json", "to-circuit", str(path))
+    assert (code, json.loads(out), err) == (0, {"netlist": netlist}, "")
+    moved = json.loads(STACKED_SKETCH)
+    moved["tiles"][1]["rect"][0] = "1/2"
+    path.write_text(json.dumps(moved))
+    assert invoke(capsys, "validate", str(path)) == (1, "invalid tiling:\n  tiles 1 and 2 overlap\n", "")
+    message = "error: dissection fails geometric validation: tiles 1 and 2 overlap\n"
     assert invoke(capsys, "to-circuit", str(path)) == (1, "", message)
     assert invoke(capsys, "--json", "to-circuit", str(path)) == (1, "", message)
+
+
+# a tile 1/10000000 wide beside a unit square: its sketch collapses at the
+# sketch tolerance, its rects are exact
+THIN_TILE = _dissection(big={"w": "10000001/10000000", "h": "1"}, tiles=[
+    {"id": 1, "sketch": [0, 0, 1, 1], "aspect": "1", "rect": ["0", "0", "1", "1"]},
+    {"id": 2, "sketch": [1, 0, 1e-7, 1], "aspect": "1/10000000",
+     "rect": ["1", "0", "1/10000000", "1"]}])
 
 
 def _wall_q_sized_with_tile_1_at(rect):
@@ -313,9 +337,13 @@ def _wall_q_sized_with_tile_1_at(rect):
     return json.dumps(wall)
 
 
+# the swapped rows certify (GATED_FILES); with tile 1 moved down onto
+# tile 2 their rects overlap
+SWAPPED_ROWS_MOVED = json.loads(SWAPPED_ROWS)
+SWAPPED_ROWS_MOVED["tiles"][0]["rect"][1] = "1/4"
+
 # equiv-check refuses a sized file whose rects are no tiling, as validate,
-# to-circuit and dehn-check do, and one whose rects tile the big rectangle
-# but are not the rects its sketch sizes to
+# to-circuit and dehn-check do
 UNTRUSTED_RECTS = {
     "wall_q_sized with tile 1 a unit square": (
         _wall_q_sized_with_tile_1_at(["0", "0", "1", "1"]),
@@ -324,12 +352,8 @@ UNTRUSTED_RECTS = {
         + "".join(f"tiles 1 and {k} overlap; " for k in range(2, 37))
         + "tile areas do not sum to the big rectangle's area\n"),
     "two rows whose rects swap": (
-        _dissection(big={"w": "1", "h": "1"}, tiles=[
-            {"id": 1, "sketch": [0, 0, 2, 1], "aspect": "2",
-             "rect": ["0", "1/2", "1", "1/2"]},
-            {"id": 2, "sketch": [0, 1, 2, 1], "aspect": "2",
-             "rect": ["0", "0", "1", "1/2"]}]),
-        "error: tile 1's rect is not the one its sketch sizes to\n"),
+        json.dumps(SWAPPED_ROWS_MOVED),
+        "error: dissection fails geometric validation: tiles 1 and 2 overlap\n"),
 }
 
 
@@ -343,8 +367,13 @@ def test_equiv_check_trusts_no_rect(name, tmp_path, capsys):
 
 
 def test_theorem1_trusts_no_rect(tmp_path, capsys):
-    content, message = UNTRUSTED_RECTS["two rows whose rects swap"]
+    """theorem1 certifies the swapped rows from their rects, which it
+    refused while it checked them on the sketch, and refuses them once
+    tile 1 is moved down onto tile 2."""
     path = tmp_path / "input.json"
+    path.write_text(SWAPPED_ROWS)
+    assert invoke(capsys, "theorem1", str(path)) == (0, "F(x) = x^2 - 2*x\nR = 2\nF(R) = 0\n", "")
+    content, message = UNTRUSTED_RECTS["two rows whose rects swap"]
     path.write_text(content)
     assert invoke(capsys, "theorem1", str(path)) == (1, "", message)
     assert invoke(capsys, "--json", "theorem1", str(path)) == (1, "", message)
@@ -360,69 +389,93 @@ def _partly_sized(unset):
     return json.dumps(wall)
 
 
+def _sized_output(x, sides, netlist, theorem1):
+    """The outputs, text and then --json, of a sized file of big height 1,
+    ratio x, tile (width, height) ``sides`` and the given netlist;
+    ``theorem1`` is F(x) and R, or the exit code and stderr of a refusal."""
+    heights = {str(k): h for k, (_, h) in enumerate(sides, 1)}
+    tiles = {k: {"side": h, "current": h} for k, h in heights.items()}
+    return {
+        "solve": (f"x = {x}\n1/x = {format_scalar(1 / Fraction(x))}\n"
+                  + "".join(f"tile {k}: {w} x {h}\n" for k, (w, h) in enumerate(sides, 1)),
+                  {"x": x, "1/x": format_scalar(1 / Fraction(x)), "sides": heights}),
+        "to-circuit": (netlist, {"netlist": netlist}),
+        "equiv-check": (f"dissection and circuit agree exactly\nresistance = big ratio = {x}\n",
+                        {"ok": True, "battery_current": "1", "resistance": x, "big_ratio": x,
+                         "mismatches": [], "tiles": tiles}),
+        "theorem1": theorem1 if isinstance(theorem1[0], int) else (
+            f"F(x) = {theorem1[0]}\nR = {theorem1[1]}\nF(R) = 0\n",
+            {"F": theorem1[0], "R": theorem1[1], "F(R)": "0"}),
+        "render": ("wrote {svg}\n", {"written": "{svg}"}),
+    }
+
+
 # Every command that reads a dissection's sizes reads them through
-# solve_sizes.  A sized file keeps its rects once they tile the big
-# rectangle and lie on its sketch's cuts, four-tile points included; a file
-# that sizes only part of itself is malformed.  Each file maps to its exit
-# code and stderr, the same for solve, to-circuit, equiv-check, theorem1
-# and render in text and --json.  The swapped rows went through to-circuit
-# and render, the stacked sketch failed with another message, the 2x2 grid
-# was "under-determined" for solve, equiv-check and theorem1, and the
-# partly sized files were re-sized from their sketches.
+# solve_sizes.  A sized file is its rects: it is kept once they tile the big
+# rectangle, four-tile points included, and its cuts are read off them, not
+# off its sketch; a file that sizes only part of itself is malformed.  Each
+# file maps to the outputs of solve, to-circuit, equiv-check, theorem1 and
+# render in text and --json, or to one exit code and stderr for them all.
+# The swapped rows and the stacked sketch were refused, "tile N's rect is
+# not the one its sketch sizes to", the thin tile "tile 2 collapses at
+# sketch tolerance", the 2x2 grid was "under-determined" for solve,
+# equiv-check and theorem1, and the partly sized files were re-sized from
+# their sketches.
 GATED_FILES = {
     "two rows whose rects swap": (
-        UNTRUSTED_RECTS["two rows whose rects swap"][0], 1,
-        "error: tile 1's rect is not the one its sketch sizes to\n"),
+        SWAPPED_ROWS, _sized_output("1", [("1", "1/2")] * 2, "R 1 L R 2\nR 2 L R 2\nV L R 1\n",
+                                    ("x^2 - 2*x", "2"))),
     "a sketch that stacks side-by-side rects": (
-        STACKED_SKETCH, 1, "error: tile 2's rect is not the one its sketch sizes to\n"),
+        STACKED_SKETCH, _sized_output("2", [("1", "1")] * 2, "R 1 L n1 1\nR 2 n1 R 1\nV L R 2\n",
+                                      (1, "error: certificate needs a square dissection\n"))),
+    "a tile thinner than the sketch tolerance": (
+        THIN_TILE, _sized_output(
+            "10000001/10000000", [("1", "1"), ("1/10000000", "1")],
+            "R 1 L n1 1\nR 2 n1 R 1/10000000\nV L R 10000001/10000000\n",
+            (1, "error: tile aspects are not of the form {R, 1/R} for a single ratio\n"))),
     "a sized 2x2 grid of 1/2 squares": (
         _dissection(tiles=[
             {"id": tid, "sketch": [x, y, 1, 1], "aspect": "1",
              "rect": [str(Fraction(x, 2)), str(Fraction(y, 2)), "1/2", "1/2"]}
             for tid, (x, y) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1)), 1)]),
-        0, ""),
+        _sized_output("1", [("1/2", "1/2")] * 4,
+                      "R 1 L n1 1\nR 2 n1 R 1\nR 3 L n1 1\nR 4 n1 R 1\nV L R 1\n",
+                      ("x - 1", "1"))),
     "wall_q_sized partly sized, no big h": (
-        _partly_sized("big h"), 2, "error: a dissection with rects needs both big sides\n"),
+        _partly_sized("big h"), (2, "error: a dissection with rects needs both big sides\n")),
     "wall_q_sized partly sized, no rect on tile 2": (
-        _partly_sized("tile 2"), 2, "error: tile 2 has no rect, but other tiles have one\n"),
+        _partly_sized("tile 2"), (2, "error: tile 2 has no rect, but other tiles have one\n")),
 }
-
-# the sized 2x2 grid's output, text and then --json
-GRID_OUTPUT = {
-    "solve": ("x = 1\n1/x = 1\n" + "".join(f"tile {k}: 1/2 x 1/2\n" for k in range(1, 5)),
-              {"x": "1", "1/x": "1", "sides": dict.fromkeys("1234", "1/2")}),
-    "to-circuit": ("R 1 L n1 1\nR 2 n1 R 1\nR 3 L n1 1\nR 4 n1 R 1\nV L R 1\n",
-                   {"netlist": "R 1 L n1 1\nR 2 n1 R 1\nR 3 L n1 1\nR 4 n1 R 1\nV L R 1\n"}),
-    "equiv-check": ("dissection and circuit agree exactly\nresistance = big ratio = 1\n",
-                    {"ok": True, "battery_current": "1", "resistance": "1", "big_ratio": "1",
-                     "mismatches": [],
-                     "tiles": {k: {"side": "1/2", "current": "1/2"} for k in "1234"}}),
-    "theorem1": ("F(x) = x - 1\nR = 1\nF(R) = 0\n", {"F": "x - 1", "R": "1", "F(R)": "0"}),
-    "render": ("wrote {svg}\n", {"written": "{svg}"}),
-}
+COMMANDS = ("solve", "to-circuit", "equiv-check", "theorem1", "render")
 
 
 @pytest.mark.parametrize("name", sorted(GATED_FILES))
 def test_every_command_reads_sizes_through_one_gate(name, tmp_path, capsys):
-    content, code, message = GATED_FILES[name]
+    content, expected = GATED_FILES[name]
     path = tmp_path / "input.json"
     path.write_text(content)
     svg = str(tmp_path / "out.svg")
-    for command, (text, payload) in GRID_OUTPUT.items():
+    for command in COMMANDS:
         argv = [command, str(path)] + (["-o", svg] if command == "render" else [])
-        if code:
+        outcome = expected[command] if isinstance(expected, dict) else expected
+        if isinstance(outcome[0], int):
+            code, message = outcome
             assert invoke(capsys, *argv) == (code, "", message)
             assert invoke(capsys, "--json", *argv) == (code, "", message)
             continue
+        text, payload = outcome
         assert invoke(capsys, *argv) == (0, text.replace("{svg}", svg), "")
         code_json, out, err = invoke(capsys, "--json", *argv)
         payload = json.loads(json.dumps(payload).replace("{svg}", svg))
         assert (code_json, json.loads(out), err) == (0, payload, "")
-    assert (tmp_path / "out.svg").exists() == (code == 0)
-    if code == 2:  # malformed for the commands that read only rects, too
-        for command in ("validate", "dehn-check"):
-            assert invoke(capsys, command, str(path)) == (2, "", message)
-            assert invoke(capsys, "--json", command, str(path)) == (2, "", message)
+    assert (tmp_path / "out.svg").exists() == isinstance(expected, dict)
+    if isinstance(expected, dict):
+        assert invoke(capsys, "validate", str(path)) == (0, "valid tiling\n", "")
+        return
+    code, message = expected  # malformed for the commands that read only rects, too
+    for command in ("validate", "dehn-check"):
+        assert invoke(capsys, command, str(path)) == (code, "", message)
+        assert invoke(capsys, "--json", command, str(path)) == (code, "", message)
 
 
 # five_similar.json solved with --out, then one rect changed by the tile id,

@@ -213,19 +213,21 @@ def test_certificate_refuses_heights_that_break_ohms_law(monkeypatch):
 
 def test_certificate_checks_the_rects_of_a_sized_dissection():
     """A sized dissection is certified only when its rects tile the big
-    rectangle and are the rects its sketch sizes to."""
+    rectangle, and then from its rects, whatever its sketch draws."""
     sized = solve_sizes(make_shelf()).sized
     assert certify_equivalence(sized).ok
     with pytest.raises(DissectionError, match="^dissection fails geometric "
                        "validation: tile 7 violates its aspect ratio;"):
         certify_equivalence(shifted(sized, 7, 3, Fraction(1, 32)))
-    # tile 2 (height 1/3) below tile 1 (height 2/3), drawn the other way up
+    # tile 2 (height 1/3) below tile 1 (height 2/3), drawn the other way up;
+    # it was refused, "tile 1's rect is not the one its sketch sizes to"
     rows = solve_sizes(make_two_rows(1, 2)).sized
     swapped = shifted(shifted(rows, 1, 1, Fraction(-1, 3)), 2, 1, Fraction(2, 3))
     assert validate_geometric(swapped).ok
-    with pytest.raises(DissectionError,
-                       match="^tile 1's rect is not the one its sketch sizes to$"):
-        certify_equivalence(swapped)
+    report = certify_equivalence(swapped)
+    assert report.ok and report.big_ratio == Fraction(2, 3)
+    assert [(t.tile, t.current) for t in report.tiles] == [(1, Fraction(2, 3)),
+                                                            (2, Fraction(1, 3))]
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -110,12 +110,10 @@ def test_shelf_junction_system_is_the_ten_equation_system():
 # the output: netlist node names and ``Inconsistent.row_index`` follow them.
 PINNED_CUTS = {
     "shelf": (
-        [(0, 0.0, 0.0, 32.0, (), (3, 4, 9)), (1, 8.0, 15.0, 23.0, (4,), (1, 5)),
-         (2, 9.0, 22.0, 32.0, (1, 3), (2,)), (3, 15.0, 0.0, 22.0, (5, 9), (6, 7)),
-         (4, 19.0, 18.0, 32.0, (2, 6), (8,)), (5, 33.0, 0.0, 32.0, (7, 8), ())],
-        [(0, 0.0, 0.0, 33.0, (7, 9), ()), (1, 15.0, 0.0, 15.0, (4, 5), (9,)),
-         (2, 18.0, 15.0, 33.0, (6, 8), (7,)), (3, 22.0, 8.0, 19.0, (1, 2), (5, 6)),
-         (4, 23.0, 0.0, 9.0, (3,), (1, 4)), (5, 32.0, 0.0, 33.0, (), (2, 3, 8))],
+        [(0, (), (3, 4, 9)), (1, (4,), (1, 5)), (2, (1, 3), (2,)),
+         (3, (5, 9), (6, 7)), (4, (2, 6), (8,)), (5, (7, 8), ())],
+        [(0, (7, 9), ()), (1, (4, 5), (9,)), (2, (6, 8), (7,)),
+         (3, (1, 2), (5, 6)), (4, (3,), (1, 4)), (5, (), (2, 3, 8))],
         (0, 5, 0, 5),
         {1: (1, 2), 2: (2, 4), 3: (0, 2), 4: (0, 1), 5: (1, 3), 6: (3, 4),
          7: (3, 5), 8: (4, 5), 9: (0, 3)},
@@ -133,11 +131,9 @@ PINNED_CUTS = {
          ({"v1": "-1", "v3": "1", "v4": "-1"}, "0")],
     ),
     "five_similar": (
-        [(0, 0.0, 0.0, 1.0, (), (1, 4)), (1, 1 / 3, 0.0, 0.789, (1,), (2,)),
-         (2, 0.5, 0.789, 1.0, (4,), (5,)), (3, 2 / 3, 0.0, 0.789, (2,), (3,)),
-         (4, 1.0, 0.0, 1.0, (3, 5), ())],
-        [(0, 0.0, 0.0, 1.0, (1, 2, 3), ()), (1, 0.789, 0.0, 1.0, (4, 5), (1, 2, 3)),
-         (2, 1.0, 0.0, 1.0, (), (4, 5))],
+        [(0, (), (1, 4)), (1, (1,), (2,)), (2, (4,), (5,)), (3, (2,), (3,)),
+         (4, (3, 5), ())],
+        [(0, (1, 2, 3), ()), (1, (4, 5), (1, 2, 3)), (2, (), (4, 5))],
         (0, 4, 0, 2),
         {1: (0, 1), 2: (1, 3), 3: (3, 4), 4: (0, 2), 5: (2, 4)},
         {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (1, 2), 5: (1, 2)},
@@ -158,10 +154,8 @@ def test_cut_numbering_and_ordered_junction_rows_are_pinned(name):
     d = {"shelf": make_shelf, "five_similar": make_five_similar}[name]()
     nodes, cuts, boundaries, tile_ends, tile_spans, rows = PINNED_CUTS[name]
     cs = extract_cuts(d)
-    assert [(n.nid, n.x, n.y_lo, n.y_hi, n.left_tiles, n.right_tiles)
-            for n in cs.v_nodes] == nodes
-    assert [(c.cid, c.y, c.x_lo, c.x_hi, c.above_tiles, c.below_tiles)
-            for c in cs.h_cuts] == cuts
+    assert [(n.nid, n.left_tiles, n.right_tiles) for n in cs.v_nodes] == nodes
+    assert [(c.cid, c.above_tiles, c.below_tiles) for c in cs.h_cuts] == cuts
     assert (cs.left_boundary, cs.right_boundary, cs.bottom_cut, cs.top_cut) == boundaries
     assert cs.tile_ends == tile_ends and list(cs.tile_ends) == list(tile_ends)
     assert cs.tile_spans == tile_spans and list(cs.tile_spans) == list(tile_spans)

@@ -10,6 +10,10 @@ line up, between them.  Over Q and Q(sqrt 2):
   certifies and on which every tile agrees with its neighbours about each
   cut's position, or it is refused by ``SizingError`` as a sizing that
   does not assemble into a tiling or that gives a nonpositive side.
+
+A sized file of nested grids is its rects: one whose sketch merges two
+cuts of neighbouring slabs, which sizes from its sketch into overlapping
+tiles, certifies.
 """
 
 import dataclasses
@@ -17,31 +21,40 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import counted_eliminations
+from conftest import counted_eliminations, sketch_merges_edges
 from test_placement import assert_positions_agree
 from test_sizing_exactness import FIELDS, _split
 from tilecircuit import (
     Dissection,
+    FieldSpec,
+    QuadExt,
     SizingError,
     Tile,
     certify_equivalence,
+    dump_dissection,
+    load_dissection,
     solve_sizes,
 )
 
 REFUSALS = ("solved sides do not assemble into an exact tiling", "degenerate sizing")
 
 
-def _grid(draw, values, x, y, w, h):
-    """A block of columns times rows of cells."""
-    heights = _split(draw, values, h, draw(st.integers(1, 3)))
+def _block(x, y, widths, heights):
+    """The cells of the given column widths times row heights, from (x, y)."""
     rects = []
-    for width in _split(draw, values, w, draw(st.integers(1, 3))):
+    for width in widths:
         row_y = y
         for height in heights:
             rects.append((x, row_y, width, height))
             row_y = row_y + height
         x = x + width
     return rects
+
+
+def _grid(draw, values, x, y, w, h):
+    """A block of columns times rows of cells."""
+    heights = _split(draw, values, h, draw(st.integers(1, 3)))
+    return _block(x, y, _split(draw, values, w, draw(st.integers(1, 3))), heights)
 
 
 def _slabs(draw, values, x, y, w, h, depth):
@@ -122,3 +135,30 @@ def test_other_aspects_size_and_certify_or_are_refused(field, data):
         return
     assert certify_equivalence(d).ok
     assert_positions_agree(d)
+
+
+def test_a_sized_nested_grid_with_cuts_closer_than_the_sketch_tolerance_certifies():
+    """Over Q(sqrt 2), a 4x5 grid beside a slab of a 3x3 grid under a 3x4
+    one, 41 tiles.  The slab's middle cut lies (sqrt 2 - 1)^14, about
+    4.4e-6, above the grid's third row cut, 4.4e-7 of the height 10, so
+    the sketch merges the two cuts; its sketch sizes into overlapping
+    tiles (ROADMAP item 14)."""
+    spec = FieldSpec.quadratic(2)
+    one, root = spec.one, QuadExt(0, 1, 2)
+    gap = (root - 1) ** 14
+    middle = 5 + gap
+    rects = (_block(spec.zero, spec.zero, [one, root, one, 2 * one],
+                    [root, 2 * one, 3 - root, 2 * one, 3 * one])
+             + _block(4 + root, spec.zero, [one, 2 * one, root],
+                      [2 * one, 1 + root, middle - 3 - root])
+             + _block(4 + root, middle, [2 * one, one, root],
+                      [one * 3 / 2, one, root - 1, one * 7 / 2 - root - gap]))
+    assert sketch_merges_edges(rects)
+    sized = Dissection(spec, [Tile(tid, tuple(map(float, rect)), rect[2] / rect[3], rect)
+                              for tid, rect in enumerate(rects, 1)],
+                       big_w=7 + 2 * root, big_h=10 * one)
+    sized = load_dissection(dump_dissection(sized))
+    with counted_eliminations() as calls:
+        assert solve_sizes(sized).ratio == (7 + 2 * root) / 10
+        assert certify_equivalence(sized).ok
+    assert calls == []

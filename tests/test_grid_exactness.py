@@ -2,9 +2,10 @@
 
 Over Q, ``_obeys_circuit_laws`` adds currents and positions as integers;
 ``certificate_reference.py`` keeps it as it ran in the field.
-``substitute_and_verify`` substitutes a ``Unique`` assignment in field
-arithmetic, the loop ``certificate_reference.substitute_unique`` keeps.
 The verdict, or the exception type and message, must be the same.
+``substitute_and_verify`` substitutes a ``Unique`` assignment on the
+nonzero coefficients; its verdict must be that of the dense ``rows``
+view summed in the field, zero coefficients included.
 Systems are random, over Q (ints and ``Fraction``s mixed, with or
 without a denominator past the grid's cap), Q(sqrt 2), ``RatFunc`` and
 mixtures of Q and Q(sqrt 2), with true and perturbed assignments and
@@ -31,6 +32,7 @@ from tilecircuit import (
     solve_sizes,
 )
 from tilecircuit.correspondence import _obeys_circuit_laws
+from tilecircuit.fields import zero_like
 from tilecircuit.linear import LinearSystem, Unique, substitute_and_verify
 
 
@@ -97,17 +99,34 @@ def substitutions(draw, scalars, assigned):
     return system, {v: values[v] for v in order}, kind
 
 
+def dense_verdict(system: LinearSystem, assignment: dict) -> bool:
+    """Does the assignment satisfy every row of the dense ``rows`` view?
+    Each row is summed in the field over every column, zero coefficients
+    included, so every variable must be assigned."""
+    return all(sum((c * assignment[v] for c, v in zip(coeffs, system.variables)),
+                   zero_like(rhs)) == rhs
+               for coeffs, rhs in system.rows)
+
+
 @pytest.mark.parametrize("field", SCALARS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_substitution_matches_field_arithmetic(field, data):
-    """Over Q the assignment may also hold Q(sqrt 2) values."""
+    """Over Q the assignment may also hold Q(sqrt 2) values.  A variable
+    left out is looked up only where its coefficient is nonzero; every
+    other row holds, so that raises ``KeyError``, and otherwise the dense
+    sum with any value for it gives the verdict."""
     scalars = SCALARS[field]
     assigned = data.draw(st.sampled_from([scalars, SCALARS["Q and Q(sqrt2)"]])
                          if field == "Q" else st.just(scalars))
     system, assignment, kind = data.draw(substitutions(scalars, assigned))
     verdict = outcome(substitute_and_verify, system, Unique(assignment))
-    assert verdict == outcome(ref.substitute_unique, system, assignment)
+    missing = [(j, v) for j, v in enumerate(system.variables) if v not in assignment]
+    if any(coeffs[j] for j, _ in missing for coeffs, _ in system.rows):
+        assert verdict == (KeyError, repr(missing[0][1]))
+    else:
+        filled = {**{v: 1 for _, v in missing}, **assignment}
+        assert verdict == outcome(dense_verdict, system, filled)
     if kind == "true":
         assert verdict is True
 
@@ -116,8 +135,10 @@ def test_substitution_looks_up_what_the_field_loop_looks_up():
     system = LinearSystem.from_sparse(
         ("a", "b", "c"), [({0: 1}, Fraction(2)), ({1: Fraction(1, 3), 2: 1}, 1)],
         Fraction(0))
-    # row 0 fails before row 1 would look up the missing c
+    # row 0 fails before row 1 would look up the missing c, as the dense
+    # rows do whatever c is
     assert substitute_and_verify(system, Unique({"a": 3, "b": 1})) is False
+    assert not any(dense_verdict(system, {"a": 3, "b": 1, "c": c}) for c in (0, 1, Fraction(2, 3)))
     with pytest.raises(KeyError, match="'c'"):
         substitute_and_verify(system, Unique({"a": 2, "b": 3}))
 

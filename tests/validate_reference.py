@@ -122,11 +122,11 @@ def extract_cuts(d: Dissection) -> CutStructure:
     top_cut = _single_segment(cut_ids[len(ys) - 1], "top")
 
     nodes = tuple(
-        VNode(nid, xs[c], ys[lo], ys[hi], tuple(sorted(ends)), tuple(sorted(starts)))
+        VNode(nid, tuple(sorted(ends)), tuple(sorted(starts)))
         for nid, (c, lo, hi, ends, starts) in enumerate(v_nodes)
     )
     cuts = tuple(
-        HCut(cid, ys[c], xs[lo], xs[hi], tuple(sorted(starts)), tuple(sorted(ends)))
+        HCut(cid, tuple(sorted(starts)), tuple(sorted(ends)))
         for cid, (c, lo, hi, ends, starts) in enumerate(h_cuts)
     )
     return CutStructure(
